@@ -62,15 +62,20 @@ def _err(message: str):
     print(message, file=sys.stderr)
 
 
+_NAME_MAX = 255
+
+
 def _read_partition_text(arg: str) -> str:
     # Existing files and "-" are read; anything else is handed to the
-    # parser as inline text so errors name the offending position.
+    # parser as inline text so errors name the offending position.  An
+    # argument is looked up as a file only when it could name one: asking
+    # the OS about a longer single name fails with ENAMETOOLONG.
     if arg == "-":
         return sys.stdin.read()
-    path = Path(arg)
-    if path.is_file():
-        return path.read_text()
-    if "/" in arg or arg.endswith(".txt"):
+    pathlike = "/" in arg or arg.endswith(".txt")
+    if (pathlike or len(os.fsencode(arg)) <= _NAME_MAX) and Path(arg).is_file():
+        return Path(arg).read_text()
+    if pathlike:
         raise UsageError(f"no such file: {arg!r}")
     return arg
 
@@ -363,13 +368,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="number of colors")
     p.add_argument("--n", type=int, default=None, help="order to search")
     p.add_argument("--max-order", action="store_true",
-                   help="scan upward for the largest feasible order")
+                   help="prove the largest feasible order up to --limit")
     p.add_argument("--enumerate", action="store_true",
                    help="all canonical witnesses (at --n, or at the maximal order)")
     p.add_argument("--limit", type=int, default=None,
-                   help="scan ceiling for --max-order/--enumerate")
+                   help="order ceiling for --max-order/--enumerate "
+                        "(default: GS(r) - 1 + streak)")
     p.add_argument("--streak", type=int, default=5,
-                   help="consecutive infeasible orders required to confirm")
+                   help="orders above the closed form in the default --limit")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (default: GSKIT_WORKERS or 1)")
     p.add_argument("--split-depth", type=int, default=None,

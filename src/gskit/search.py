@@ -9,12 +9,12 @@ may exceed the colors used so far by at most one), which makes every
 accepted leaf canonical and the enumeration duplicate-free up to
 relabeling.  A leaf is accepted when all r colors occur.
 
-Color classes are kept as bitmasks over [1, n].  Each class i carries a
-mask of its members and a mask of pair sums within the class (a + a
-included only in the strong case); each unordered pair of classes carries
-the mask of cross sums.  Testing a candidate color at position c is then a
-probe of the class's sum mask (monochromatic check) plus probes of the
-cross-sum masks of pairs avoiding the candidate (rainbow check).
+Color classes are kept as bitmasks over [1, n].  Each color k carries a
+mask of its members and a mask of the positions it may not take: the
+pair sums within its class (a + a included only in the strong case) and
+E_k, the sums a + b with a and b in two distinct classes other than k.
+Testing a candidate color at position c is then one bit probe, and
+placing a color updates each color's mask once.
 
 The sequential depth-first order is the reference semantics.  A run can be
 split into independent subtree tasks below a fixed prefix depth; merging
@@ -45,10 +45,9 @@ class SearchMode(Enum):
 class SearchConfig:
     """Parameters of one search: what to look for and how hard to try.
 
-    `streak` is the number of consecutive exhausted-infeasible orders that
-    `max_order` demands before calling a maximum confirmed.  Budgets are
-    optional; exceeding one marks the report unexhausted instead of
-    raising.
+    `streak` sets how far above the closed form the default max-order
+    ceiling sits (GS(r) - 1 + streak).  Budgets are optional; exceeding
+    one marks the report unexhausted instead of raising.
     """
 
     kind: Kind
@@ -105,11 +104,15 @@ _WALL_CHECK_INTERVAL = 64
 def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None):
     """Depth-first engine behind every search entry point.
 
-    Replays `prefix` (validating it), then explores below it.  With
-    `stop_depth` set, descent stops there and the valid assignments of
-    that length are collected as the frontier instead of being expanded.
-    Returns (witnesses, nodes, exhausted, frontier); nodes counts accepted
-    assignments strictly below the prefix.
+    Replays `prefix` (validating it), then explores below it with a loop
+    over an explicit stack, one entry per placed position, so orders in
+    the thousands need no recursion.  With `stop_depth` set, descent stops
+    there and the valid assignments of that length are collected as the
+    frontier instead of being expanded.  Returns (witnesses, nodes,
+    exhausted, frontier, deepest): nodes counts accepted assignments
+    strictly below the prefix, and deepest is the largest position
+    assigned while all r colors are in use, i.e. the largest order up to
+    n that the explored part of the tree shows feasible.
     """
     n, r = cfg.n, cfg.r
     strong = cfg.kind is Kind.STRONG
@@ -118,94 +121,94 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
     wall_budget = cfg.wall_budget
     deadline = None if wall_budget is None else time.monotonic() + wall_budget
 
-    class_bits = [0] * (r + 2)
-    mono = [0] * (r + 2)
-    pair = [[0] * (r + 2) for _ in range(r + 2)]
-    chi = [0] * (n + 1)
+    # members[k] is color k's class.  A forbid list has bit c of entry k
+    # set when some a + b = c with a, b already placed rules color k out
+    # at c: a and b in class k (monochromatic), or in two distinct classes
+    # other than k (rainbow; this part is E_k).  Each node on the path owns
+    # its forbid list, so backtracking only clears one member bit.  Index 0
+    # is unused.
+    members = [0] * (r + 1)
+
+    def place(pos: int, color: int, forbid: list[int]) -> list[int]:
+        cls = members[color]
+        # pos plus a member of class j != color is a rainbow sum for every
+        # third color k.
+        others = ((1 << pos) - 2) ^ cls
+        nxt = [f | (others & ~m) << pos for f, m in zip(forbid, members)]
+        nxt[color] = forbid[color] | cls << pos | (1 << 2 * pos if strong else 0)
+        members[color] = cls | 1 << pos
+        return nxt
+
+    forbid = [0] * (r + 1)
+    maxused = 0
+    for pos, color in enumerate(prefix, start=1):
+        if not 1 <= color <= min(maxused + 1, r) or forbid[color] >> pos & 1:
+            raise ValueError(f"prefix is not a reachable search state at position {pos}")
+        forbid = place(pos, color, forbid)
+        maxused = max(maxused, color)
 
     witnesses: list[tuple[int, ...]] = []
     frontier: list[tuple[int, ...]] = []
     nodes = 0
+    deepest = 0
     aborted = False
     stopped_at_witness = False
 
-    def admissible(pos: int, color: int, maxused: int) -> bool:
-        if color > maxused + 1 or color > r or mono[color] >> pos & 1:
-            return False
-        for j in range(1, maxused + 1):
-            pj = pair[j]
-            for k in range(j + 1, maxused + 1):
-                if pj[k] >> pos & 1 and j != color and k != color:
-                    return False
-        return True
-
-    def place(pos: int, color: int, maxused: int):
-        bit = 1 << pos
-        old_class = class_bits[color]
-        old_mono = mono[color]
-        mono[color] = old_mono | (old_class << pos)
-        if strong:
-            mono[color] |= 1 << (2 * pos)
-        class_bits[color] = old_class | bit
-        saved = []
-        for j in range(1, maxused + 1):
-            if j != color:
-                lo, hi = (j, color) if j < color else (color, j)
-                saved.append((lo, hi, pair[lo][hi]))
-                pair[lo][hi] |= class_bits[j] << pos
-        chi[pos] = color
-        return old_class, old_mono, saved
-
-    def unplace(color: int, undo):
-        old_class, old_mono, saved = undo
-        class_bits[color] = old_class
-        mono[color] = old_mono
-        for lo, hi, v in saved:
-            pair[lo][hi] = v
-
-    maxused = 0
-    for pos, color in enumerate(prefix, start=1):
-        if not admissible(pos, color, maxused):
-            raise ValueError(f"prefix is not a reachable search state at position {pos}")
-        place(pos, color, maxused)
-        maxused = max(maxused, color)
-
-    def dfs(pos: int, maxused: int) -> bool:
-        nonlocal nodes, aborted, stopped_at_witness
-        if stop_depth is not None and pos > stop_depth:
-            frontier.append(tuple(chi[1:pos]))
-            return False
-        if pos > n:
-            if maxused == r:
-                witnesses.append(tuple(chi[1:]))
-                if first_witness:
-                    stopped_at_witness = True
-                    return True
-            return False
-        if r - maxused > n - pos + 1:
-            return False
+    # The explicit stack: the colors placed at 1 .. pos - 1, and per node
+    # on that path its forbid list and colors in use.  `color` is the last
+    # color tried at the current node, 0 on entering it.
+    path = list(prefix)
+    forbid_stack = [forbid]
+    maxused_stack = [maxused]
+    color = 0
+    while True:
+        pos = len(path) + 1
+        maxused = maxused_stack[-1]
         top = maxused + 1 if maxused < r else r
-        for color in range(1, top + 1):
-            if not admissible(pos, color, maxused):
-                continue
+        if color == 0:
+            if stop_depth is not None and pos > stop_depth:
+                frontier.append(tuple(path))
+                top = 0
+            elif pos > n:
+                if maxused == r:
+                    witnesses.append(tuple(path))
+                    if first_witness:
+                        stopped_at_witness = True
+                        break
+                top = 0
+            elif r - maxused > n - pos + 1:
+                top = 0
+        forbid = forbid_stack[-1]
+        color += 1
+        while color <= top and forbid[color] >> pos & 1:
+            color += 1
+        if color <= top:
             if node_budget is not None and nodes >= node_budget:
                 aborted = True
-                return True
+                break
             nodes += 1
             if deadline is not None and nodes % _WALL_CHECK_INTERVAL == 0:
                 if time.monotonic() > deadline:
                     aborted = True
-                    return True
-            undo = place(pos, color, maxused)
-            stop = dfs(pos + 1, max(maxused, color))
-            unplace(color, undo)
-            if stop:
-                return True
-        return False
+                    break
+            forbid_stack.append(place(pos, color, forbid))
+            path.append(color)
+            if color > maxused:
+                maxused = color
+            if maxused == r and pos > deepest:
+                deepest = pos
+            maxused_stack.append(maxused)
+            color = 0
+        elif len(path) > len(prefix):
+            color = path.pop()
+            forbid_stack.pop()
+            maxused_stack.pop()
+            members[color] ^= 1 << (pos - 1)
+        else:
+            break
 
-    dfs(len(prefix) + 1, maxused)
     exhausted = not aborted and not stopped_at_witness
-    return witnesses, nodes, exhausted, frontier
+    return witnesses, nodes, exhausted, frontier, deepest
 
 
 def _as_colorings(cfg: SearchConfig, raw: list[tuple[int, ...]]) -> tuple[Coloring, ...]:
@@ -220,7 +223,7 @@ def exists_partition(cfg: SearchConfig) -> SearchReport:
     every canonical witness in lexicographic order.  A fired budget yields
     an unexhausted report, never an error.
     """
-    raw, nodes, exhausted, _ = _explore(cfg, (), None)
+    raw, nodes, exhausted, _, _ = _explore(cfg, (), None)
     return SearchReport(
         witnesses=_as_colorings(cfg, raw), nodes_explored=nodes, exhausted=exhausted
     )
@@ -237,13 +240,13 @@ def parallel_split(cfg: SearchConfig, depth: int) -> list[SubtreeTask]:
     """
     if depth < 0 or depth > cfg.n:
         raise ValueError(f"split depth must be in [0, {cfg.n}], got {depth}")
-    _, _, _, frontier = _explore(_unbudgeted(cfg), (), depth)
+    _, _, _, frontier, _ = _explore(_unbudgeted(cfg), (), depth)
     return [SubtreeTask(config=cfg, prefix=p) for p in frontier]
 
 
 def run_task(task: SubtreeTask) -> SearchReport:
     """Search one subtree; nodes are counted strictly below the prefix."""
-    raw, nodes, exhausted, _ = _explore(task.config, task.prefix, None)
+    raw, nodes, exhausted, _, _ = _explore(task.config, task.prefix, None)
     return SearchReport(
         witnesses=_as_colorings(task.config, raw),
         nodes_explored=nodes,
@@ -293,7 +296,7 @@ def run_search(
     if depth == 0:
         return exists_partition(cfg)
 
-    _, shallow_nodes, _, frontier = _explore(_unbudgeted(cfg), (), depth)
+    _, shallow_nodes, _, frontier, _ = _explore(_unbudgeted(cfg), (), depth)
     tasks = [SubtreeTask(config=cfg, prefix=p) for p in frontier]
     if workers == 1 or len(tasks) <= 1:
         results = [run_task(t) for t in tasks]
@@ -323,38 +326,30 @@ def max_order(
 ) -> tuple[int, bool]:
     """Largest feasible order up to `limit`, with a confirmation flag.
 
-    Scans n upward running first-witness searches.  Feasibility in n is
-    not assumed monotone, so the maximum found counts as confirmed only
-    after `streak` consecutive orders above it were exhaustively searched
-    and found infeasible (or the scan reached `limit` with all orders
-    above the maximum exhausted-infeasible).  Budget-truncated searches
-    leave the flag False.  Returns (0, flag) when no order is feasible.
+    Every constraint on a prefix [1, m] involves only triples inside it,
+    so the valid canonical prefixes of length m that use all r colors are
+    exactly the r-color partitions of [1, m].  One walk of the canonical
+    tree, capped at depth `limit`, therefore answers every order at once:
+    the maximum is the deepest depth reached with all r colors in use.  It
+    is confirmed (proved) when the walk finishes, or when it reaches
+    `limit` itself.  The budgets cap the whole walk; one that fires leaves
+    the flag False and the maximum a lower bound.  `streak` is only
+    validated here: callers derive their default `limit` from it.
+    Returns (0, flag) when no order is feasible.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    m_max = 0
-    outcomes: dict[int, tuple[bool, bool]] = {}
-    for n in range(1, limit + 1):
-        cfg = SearchConfig(
-            kind=kind,
-            r=r,
-            n=n,
-            mode=SearchMode.FIRST_WITNESS,
-            streak=streak,
-            node_budget=node_budget,
-            wall_budget=wall_budget,
-        )
-        rep = exists_partition(cfg)
-        found = bool(rep.witnesses)
-        outcomes[n] = (found, rep.exhausted)
-        if found:
-            m_max = n
-        elif m_max >= 1 and n >= m_max + streak:
-            if all(outcomes[k] == (False, True) for k in range(m_max + 1, n + 1)):
-                return m_max, True
-    window = range(m_max + 1, min(m_max + streak, limit) + 1)
-    confirmed = all(outcomes.get(k) == (False, True) for k in window)
-    return m_max, confirmed
+    cfg = SearchConfig(
+        kind=kind,
+        r=r,
+        n=limit,
+        mode=SearchMode.FIRST_WITNESS,
+        streak=streak,
+        node_budget=node_budget,
+        wall_budget=wall_budget,
+    )
+    raw, _, exhausted, _, deepest = _explore(cfg, (), None)
+    return deepest, exhausted or bool(raw)
 
 
 def enumerate_maximal(
@@ -369,7 +364,7 @@ def enumerate_maximal(
 ) -> list[Coloring]:
     """Every maximal r-color partition of the given kind, up to relabeling.
 
-    Finds the maximal order by upward scan (by default up to the
+    Finds the maximal order with `max_order` (by default up to the
     closed-form value plus the streak), then enumerates all canonical
     witnesses at that order, in lexicographic order.  Raises
     PartialResultError, carrying whatever was found, when a budget stops

@@ -56,6 +56,19 @@ def naive_enumerate(kind: str, r: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def scan_max_order(feasible, limit: int, streak: int) -> int:
+    """Largest feasible order by the per-order upward scan: test n = 1, 2,
+    ... up to `limit` and stop once the `streak` orders above the best so
+    far are all infeasible.  `feasible(n)` answers one order exactly."""
+    m_max = 0
+    for n in range(1, limit + 1):
+        if feasible(n):
+            m_max = n
+        elif m_max >= 1 and n >= m_max + streak:
+            break
+    return m_max
+
+
 def dpll(num_vars: int, clauses: list[list[int]]) -> list[int] | None:
     """Minimal complete SAT solver: unit propagation plus chronological
     branching.  Returns a full model as a literal list, or None."""

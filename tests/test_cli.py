@@ -67,6 +67,14 @@ def test_verify_reads_stdin(monkeypatch, capsys):
     assert capsys.readouterr().out == "ok\n"
 
 
+def test_verify_long_inline_partition(capsys):
+    assert invoke(["construct", "--maximal", "8"]) == 0
+    text = capsys.readouterr().out.strip()
+    assert len(text) == 624
+    assert invoke(["verify", text]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+
 def test_table_values(capsys):
     assert invoke(["table", "--kind", "strong", "--max-r", "6"]) == 0
     out = capsys.readouterr().out
@@ -218,6 +226,17 @@ def test_search_json_report(capsys):
 def test_search_budget_inconclusive(capsys):
     assert invoke(["search", "--r", "3", "--n", "9", "--budget", "4"]) == 3
     assert capsys.readouterr().out == "inconclusive (budget exhausted)\n"
+
+
+def test_search_deep_order_has_no_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "gskit.cli", "search", "--r", "9", "--n", "1249",
+         "--budget", "20000"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode in (0, 3)
+    assert "Traceback" not in proc.stderr
 
 
 def test_search_flag_conflicts(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from gskit.construct import gs_number
 from gskit.core import Kind, check_partition, is_canonical
 from gskit.search import (
     PartialResultError,
@@ -20,7 +21,7 @@ from gskit.search import (
     run_task,
 )
 
-from oracle import naive_enumerate
+from oracle import naive_enumerate, scan_max_order
 
 
 def _cfg(kind, r, n, mode=SearchMode.FIRST_WITNESS, **kw):
@@ -86,13 +87,36 @@ def test_max_order_examples():
 
 
 def test_max_order_respects_limit():
-    # Confirmation reads the window above m_max only up to the limit, so
-    # an empty window (limit == m_max) confirms vacuously.
+    # A walk that reaches the limit itself has proved the maximum there.
     m, confirmed = max_order(Kind.STRONG, 2, 4)
     assert m == 4
-    assert confirmed  # window above 4 is empty up to the limit
+    assert confirmed
     m, confirmed = max_order(Kind.STRONG, 2, 7, streak=5)
     assert (m, confirmed) == (4, True)
+
+
+def test_max_order_matches_per_order_scan():
+    for kind in (Kind.STRONG, Kind.WEAK):
+        for r in range(1, 6):
+            top = gs_number(r, kind).value + 5
+            feasible = [False] + [
+                bool(exists_partition(_cfg(kind, r, n)).witnesses)
+                for n in range(1, top + 1)
+            ]
+            for limit in range(1, top + 1):
+                for streak in (1, 2, 5):
+                    want = scan_max_order(feasible.__getitem__, limit, streak)
+                    got = max_order(kind, r, limit, streak=streak)
+                    assert got == (want, True), (kind, r, limit, streak)
+
+
+def test_max_order_proves_closed_form():
+    # Strong r = 9 walks to depth 1254, past the default recursion limit.
+    cases = [(Kind.STRONG, r) for r in (6, 7, 8, 9)]
+    cases += [(Kind.WEAK, r) for r in (6, 7, 8)]
+    for kind, r in cases:
+        m = gs_number(r, kind).value - 1
+        assert max_order(kind, r, m + 5) == (m, True), (kind, r)
 
 
 def test_max_order_budget_leaves_unconfirmed():
@@ -217,3 +241,18 @@ def test_five_color_enumeration():
         assert check_partition(w, Kind.STRONG).ok
     for w in weak:
         assert check_partition(w, Kind.WEAK).ok
+
+
+def test_maximal_partition_counts():
+    for kind, r, n, count in [
+        (Kind.STRONG, 6, 124, 1),
+        (Kind.STRONG, 7, 249, 4),
+        (Kind.STRONG, 8, 624, 1),
+        (Kind.WEAK, 6, 224, 1),
+    ]:
+        rep = run_search(_cfg(kind, r, n, SearchMode.ENUMERATE_ALL))
+        assert rep.exhausted and len(rep.witnesses) == count, (kind, r)
+        for w in rep.witnesses:
+            assert check_partition(w, kind).ok
+        rep = run_search(_cfg(kind, r, n + 1, SearchMode.ENUMERATE_ALL))
+        assert rep.exhausted and rep.witnesses == (), (kind, r)
