@@ -6,10 +6,10 @@ witness found), 1 means a definite negative answer (violation found,
 infeasible order, structural mismatch), 2 means a usage or input error,
 and 3 means a budget ran out before the answer was conclusive.
 
-Partition inputs are a file path, `-` for stdin, or an inline compact
-string; file content may be a digit string or the explicit
-`gspartition v1` form, whose declared kind is used when --kind is not
-given.  All JSON output has a fixed field order.
+Positional inputs (partitions and solver models) are a file path, `-`
+for stdin, or inline text; partition content may be a digit string or
+the explicit `gspartition v1` form, whose declared kind is used when
+--kind is not given.  All JSON output has a fixed field order.
 """
 
 from __future__ import annotations
@@ -65,9 +65,10 @@ def _err(message: str):
 _NAME_MAX = 255
 
 
-def _read_partition_text(arg: str) -> str:
-    # Existing files and "-" are read; anything else is handed to the
-    # parser as inline text so errors name the offending position.  An
+def _read_input(arg: str) -> str:
+    # Every positional input (partition or solver model) goes through
+    # here.  Existing files and "-" are read; anything else is handed to
+    # the parser as inline text so errors name the offending position.  An
     # argument is looked up as a file only when it could name one: asking
     # the OS about a longer single name fails with ENAMETOOLONG.
     if arg == "-":
@@ -78,15 +79,6 @@ def _read_partition_text(arg: str) -> str:
     if pathlike:
         raise UsageError(f"no such file: {arg!r}")
     return arg
-
-
-def _read_text_file(arg: str) -> str:
-    if arg == "-":
-        return sys.stdin.read()
-    path = Path(arg)
-    if path.is_file():
-        return path.read_text()
-    raise UsageError(f"no such file: {arg}")
 
 
 def _resolve_kind(flag: str | None, declared: Kind | None) -> Kind:
@@ -119,7 +111,7 @@ def _print_coloring(c: Coloring, kind: Kind):
 
 
 def cmd_verify(args) -> int:
-    coloring, declared = parse_coloring_with_kind(_read_partition_text(args.input))
+    coloring, declared = parse_coloring_with_kind(_read_input(args.input))
     kind = _resolve_kind(args.kind, declared)
     verdict = check_partition(coloring, kind, exhaustive=args.all_witnesses)
     if args.json:
@@ -164,17 +156,33 @@ def cmd_table(args) -> int:
     return 0
 
 
+# Largest order construct builds.  Every entry is held in memory and
+# printed, so a bigger request is refused before any work instead of
+# exhausting memory; the cap still covers the maximal partitions of
+# strong r <= 18 and weak r <= 17.
+MAX_CONSTRUCT_ORDER = 2_000_000
+
+# Each step with the order it maps n to.
 _APPLY_STEPS = {
-    "2": two_fold,
-    "5": five_fold,
-    "i2": inverse_two_fold,
-    "i5": inverse_five_fold,
+    "2": (two_fold, lambda n: 2 * n + 1),
+    "5": (five_fold, lambda n: 5 * n + 4),
+    "i2": (inverse_two_fold, lambda n: (n - 1) // 2),
+    "i5": (inverse_five_fold, lambda n: (n - 4) // 5),
 }
+
+
+def _check_construct_order(n: int, what: str):
+    if n > MAX_CONSTRUCT_ORDER:
+        raise UsageError(
+            f"{what} would build order {n}, above the cap of {MAX_CONSTRUCT_ORDER}"
+        )
 
 
 def cmd_construct(args) -> int:
     if args.maximal is not None:
         kind = Kind.from_name(args.kind) if args.kind else Kind.STRONG
+        order = gs_number(args.maximal, kind).value - 1
+        _check_construct_order(order, f"--maximal {args.maximal}")
         current = maximal_partition(args.maximal, kind)
     elif args.base is not None:
         kind, current = base_by_name(args.base)
@@ -183,13 +191,16 @@ def cmd_construct(args) -> int:
                 f"base {args.base} belongs to the {kind.value} catalogue"
             )
     else:
-        current, declared = parse_coloring_with_kind(
-            _read_partition_text(args.from_input)
-        )
+        current, declared = parse_coloring_with_kind(_read_input(args.from_input))
         kind = _resolve_kind(args.kind, declared)
 
-    for step in args.apply or []:
-        current = _APPLY_STEPS[step](current)
+    steps = args.apply or []
+    order = current.n
+    for step in steps:
+        order = _APPLY_STEPS[step][1](order)
+        _check_construct_order(order, f"--apply {step}")
+    for step in steps:
+        current = _APPLY_STEPS[step][0](current)
 
     if args.json:
         doc = {
@@ -205,7 +216,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    coloring, _ = parse_coloring_with_kind(_read_partition_text(args.input))
+    coloring, _ = parse_coloring_with_kind(_read_input(args.input))
     canon = canonicalize(coloring)
     if canon != coloring:
         _err("note: input canonicalized before decomposition")
@@ -232,11 +243,14 @@ def cmd_search(args) -> int:
     if not args.max_order and not args.enumerate and args.n is None:
         raise UsageError("one of --n, --max-order, --enumerate is required")
 
-    limit = args.limit
-    if limit is None:
-        limit = gs_number(args.r, kind).value - 1 + args.streak
-
-    if args.max_order:
+    n, confirmed = args.n, True
+    if n is None:
+        # --max-order, or --enumerate at the maximal order.  Like
+        # enumerate_maximal, the walk and the enumeration after it each get
+        # the full --budget and --wall.
+        limit = args.limit
+        if limit is None:
+            limit = gs_number(args.r, kind).value - 1 + args.streak
         m_max, confirmed = max_order(
             kind,
             args.r,
@@ -245,39 +259,30 @@ def cmd_search(args) -> int:
             node_budget=args.budget,
             wall_budget=args.wall,
         )
-        if args.json:
-            doc = {
-                "kind": kind.value,
-                "r": args.r,
-                "limit": limit,
-                "streak": args.streak,
-                "m_max": m_max,
-                "confirmed": confirmed,
-            }
-            print(json.dumps(doc))
-        else:
-            state = "confirmed" if confirmed else "unconfirmed"
-            print(f"m_max {m_max} {state} (streak {args.streak})")
-        return 0 if confirmed else 3
-
-    confirmed = True
-    if args.enumerate and args.n is None:
-        m_max, confirmed = max_order(
-            kind,
-            args.r,
-            limit,
-            streak=args.streak,
-            node_budget=args.budget,
-            wall_budget=args.wall,
-        )
+        if args.max_order:
+            if args.json:
+                doc = {
+                    "kind": kind.value,
+                    "r": args.r,
+                    "limit": limit,
+                    "streak": args.streak,
+                    "m_max": m_max,
+                    "confirmed": confirmed,
+                }
+                print(json.dumps(doc))
+            else:
+                state = "confirmed" if confirmed else "unconfirmed"
+                print(f"m_max {m_max} {state} (streak {args.streak})")
+            return 0 if confirmed else 3
         if m_max == 0:
             _err(f"no feasible order up to {limit}")
             return 1 if confirmed else 3
         n = m_max
-    else:
-        n = args.n
+
     if n < 1:
         raise UsageError("--n must be at least 1")
+    if args.streak < 1:
+        raise UsageError("streak must be positive")
 
     mode = SearchMode.ENUMERATE_ALL if args.enumerate else SearchMode.FIRST_WITNESS
     cfg = SearchConfig(
@@ -285,7 +290,6 @@ def cmd_search(args) -> int:
         r=args.r,
         n=n,
         mode=mode,
-        streak=args.streak,
         node_budget=args.budget,
         wall_budget=args.wall,
     )
@@ -311,7 +315,7 @@ def cmd_cnf(args) -> int:
     if args.action == "encode":
         sys.stdout.write(to_dimacs(encode(args.n, args.r, kind, symmetry=args.symmetry)))
         return 0
-    model = parse_model(_read_text_file(args.model))
+    model = parse_model(_read_input(args.model))
     coloring = decode(model, args.n, args.r)
     _print_coloring(coloring, kind)
     verdict = check_partition(coloring, kind)
@@ -349,11 +353,13 @@ def _build_parser() -> argparse.ArgumentParser:
     start.add_argument("--base", choices=sorted(BASE_CATALOGUE),
                        help="catalogue base to start from")
     start.add_argument("--maximal", type=int, metavar="R",
-                       help="maximal partition for R colors")
+                       help="maximal partition for R colors (order at most "
+                            f"{MAX_CONSTRUCT_ORDER})")
     start.add_argument("--from", dest="from_input", metavar="INPUT",
                        help="partition to start from (file, '-', or digits)")
     p.add_argument("--apply", action="append", choices=sorted(_APPLY_STEPS),
-                   help="mapping chain, applied left to right; i2/i5 invert")
+                   help="mapping chain, applied left to right; i2/i5 invert; "
+                        f"refused if an order would exceed {MAX_CONSTRUCT_ORDER}")
     p.add_argument("--kind", choices=["strong", "weak"], default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_construct)
@@ -380,8 +386,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="worker processes (default: GSKIT_WORKERS or 1)")
     p.add_argument("--split-depth", type=int, default=None,
                    help="prefix depth for parallel task splitting")
-    p.add_argument("--budget", type=int, default=None, help="node budget")
-    p.add_argument("--wall", type=float, default=None, help="wall-clock budget, seconds")
+    p.add_argument("--budget", type=int, default=None,
+                   help="node budget (with --enumerate and no --n, for the "
+                        "max-order walk and the enumeration each)")
+    p.add_argument("--wall", type=float, default=None,
+                   help="wall-clock budget, seconds (with --enumerate and no "
+                        "--n, for the max-order walk and the enumeration each)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 
@@ -393,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetry", action="store_true",
                    help="add canonical-order symmetry-breaking clauses")
     p.add_argument("model", nargs="?", default="-",
-                   help="solver output to decode (file or '-')")
+                   help="solver output to decode (file, '-', or inline literals)")
     p.set_defaults(func=cmd_cnf)
 
     return parser

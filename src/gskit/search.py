@@ -45,24 +45,20 @@ class SearchMode(Enum):
 class SearchConfig:
     """Parameters of one search: what to look for and how hard to try.
 
-    `streak` sets how far above the closed form the default max-order
-    ceiling sits (GS(r) - 1 + streak).  Budgets are optional; exceeding
-    one marks the report unexhausted instead of raising.
+    Budgets are optional; exceeding one marks the report unexhausted
+    instead of raising.
     """
 
     kind: Kind
     r: int
     n: int
     mode: SearchMode = SearchMode.FIRST_WITNESS
-    streak: int = 5
     node_budget: int | None = None
     wall_budget: float | None = None
 
     def __post_init__(self):
         if self.r < 1 or self.n < 1:
             raise ValueError("r and n must be positive")
-        if self.streak < 1:
-            raise ValueError("streak must be positive")
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError("node budget must be positive")
         if self.wall_budget is not None and self.wall_budget <= 0:
@@ -223,10 +219,7 @@ def exists_partition(cfg: SearchConfig) -> SearchReport:
     every canonical witness in lexicographic order.  A fired budget yields
     an unexhausted report, never an error.
     """
-    raw, nodes, exhausted, _, _ = _explore(cfg, (), None)
-    return SearchReport(
-        witnesses=_as_colorings(cfg, raw), nodes_explored=nodes, exhausted=exhausted
-    )
+    return run_task(SubtreeTask(config=cfg, prefix=()))
 
 
 def parallel_split(cfg: SearchConfig, depth: int) -> list[SubtreeTask]:
@@ -257,9 +250,7 @@ def run_task(task: SubtreeTask) -> SearchReport:
 def _unbudgeted(cfg: SearchConfig) -> SearchConfig:
     if cfg.node_budget is None and cfg.wall_budget is None:
         return cfg
-    return SearchConfig(
-        kind=cfg.kind, r=cfg.r, n=cfg.n, mode=cfg.mode, streak=cfg.streak
-    )
+    return SearchConfig(kind=cfg.kind, r=cfg.r, n=cfg.n, mode=cfg.mode)
 
 
 def default_split_depth(cfg: SearchConfig) -> int:
@@ -339,12 +330,13 @@ def max_order(
     """
     if limit < 1:
         raise ValueError("limit must be positive")
+    if streak < 1:
+        raise ValueError("streak must be positive")
     cfg = SearchConfig(
         kind=kind,
         r=r,
         n=limit,
         mode=SearchMode.FIRST_WITNESS,
-        streak=streak,
         node_budget=node_budget,
         wall_budget=wall_budget,
     )
@@ -366,9 +358,10 @@ def enumerate_maximal(
 
     Finds the maximal order with `max_order` (by default up to the
     closed-form value plus the streak), then enumerates all canonical
-    witnesses at that order, in lexicographic order.  Raises
-    PartialResultError, carrying whatever was found, when a budget stops
-    either phase from being conclusive.
+    witnesses at that order, in lexicographic order.  The node and wall
+    budgets apply to each phase separately, so the whole call may spend up
+    to twice either one.  Raises PartialResultError, carrying whatever was
+    found, when a budget stops either phase from being conclusive.
     """
     if limit is None:
         limit = gs_number(r, kind).value - 1 + streak
@@ -386,7 +379,6 @@ def enumerate_maximal(
         r=r,
         n=m_max,
         mode=SearchMode.ENUMERATE_ALL,
-        streak=streak,
         node_budget=node_budget,
         wall_budget=wall_budget,
     )

@@ -11,7 +11,9 @@ peeling the matching inverse walks any of them down to a catalogue base.
 Peeling here is purely structural: whenever the global pattern validates,
 the inverse is well defined and is applied, maximal or not (B3A peels to
 B1, for instance).  The stopping rule is "no pattern matches", never a
-color-count threshold.
+color-count threshold.  The patterns themselves are written once, in
+the inverse mappings of `construct`; a PatternError from an inverse means
+"not this image".
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from enum import Enum
 from .core import Coloring, Kind, check_partition, is_canonical
 from .construct import (
     MappingTag,
+    PatternError,
     apply_mappings,
     inverse_five_fold,
     inverse_two_fold,
@@ -50,57 +53,51 @@ class Decomposition:
         return apply_mappings(self.base, self.tags)
 
 
-def _matches_five_fold(c: Coloring) -> bool:
-    if c.n % 5 != 4 or c.n < 9:
-        return False
-    for x in range(1, c.n + 1):
-        v = c.color_of(x)
-        m = x % 5
-        if m in (1, 4):
-            if v != 1:
-                return False
-        elif m in (2, 3):
-            if v != 2:
-                return False
-        elif v in (1, 2):
-            return False
-    return True
+def _outer_layer(c: Coloring) -> tuple[MappingTag, Coloring] | None:
+    """The last construction applied to c and its preimage, or None for Base.
+
+    The two patterns conflict at position 3 whenever both colors 1 and 2
+    are present, so at most one can match; five-fold is tried first and
+    wins the vacuous overlap.  The preimage of a canonical image is
+    canonical, so callers check canonicity once, before the first peel.
+    """
+    try:
+        return MappingTag.FIVE_FOLD, inverse_five_fold(c)
+    except PatternError:
+        pass
+    try:
+        return MappingTag.TWO_FOLD, inverse_two_fold(c)
+    except PatternError:
+        return None
 
 
-def _matches_two_fold(c: Coloring) -> bool:
-    if c.n % 2 == 0 or c.n < 3:
-        return False
-    for x in range(1, c.n + 1):
-        if (c.color_of(x) == 1) != (x % 2 == 1):
-            return False
-    return True
+def _require_canonical(c: Coloring):
+    if not is_canonical(c):
+        raise ValueError("classify requires a canonical coloring")
 
 
 def classify(c: Coloring) -> StructureClass:
     """Decide which construction, if any, a canonical coloring came from.
 
-    The check validates the full global pattern, not just a prefix.  The
-    two patterns conflict at position 3 whenever both colors 1 and 2 are
-    present, so at most one can match; five-fold wins the vacuous overlap.
+    The check validates the full global pattern, not just a prefix.
     Degenerate orders too small to have a preimage are Base.
     """
-    if not is_canonical(c):
-        raise ValueError("classify requires a canonical coloring")
-    if _matches_five_fold(c):
+    _require_canonical(c)
+    layer = _outer_layer(c)
+    if layer is None:
+        return StructureClass.BASE
+    if layer[0] is MappingTag.FIVE_FOLD:
         return StructureClass.FIVE_FOLD_IMAGE
-    if _matches_two_fold(c):
-        return StructureClass.TWO_FOLD_IMAGE
-    return StructureClass.BASE
+    return StructureClass.TWO_FOLD_IMAGE
 
 
 def peel(c: Coloring) -> tuple[MappingTag, Coloring]:
     """Strip one construction layer off a non-Base canonical coloring."""
-    cls = classify(c)
-    if cls is StructureClass.FIVE_FOLD_IMAGE:
-        return MappingTag.FIVE_FOLD, inverse_five_fold(c)
-    if cls is StructureClass.TWO_FOLD_IMAGE:
-        return MappingTag.TWO_FOLD, inverse_two_fold(c)
-    raise ValueError("cannot peel a Base coloring")
+    _require_canonical(c)
+    layer = _outer_layer(c)
+    if layer is None:
+        raise ValueError("cannot peel a Base coloring")
+    return layer
 
 
 def decompose_full(c: Coloring) -> Decomposition:
@@ -109,10 +106,11 @@ def decompose_full(c: Coloring) -> Decomposition:
     The tag list comes out innermost first, so `Decomposition.replay`
     rebuilds the input bit-exactly.
     """
+    _require_canonical(c)
     tags: list[MappingTag] = []
     current = c
-    while classify(current) is not StructureClass.BASE:
-        tag, current = peel(current)
+    while (layer := _outer_layer(current)) is not None:
+        tag, current = layer
         tags.append(tag)
     tags.reverse()
     return Decomposition(base=current, tags=tuple(tags), original_order=c.n)
@@ -132,7 +130,5 @@ def verify_image_structure(c: Coloring, kind: Kind) -> bool:
         raise ValueError("image structure is only asserted for r > 3")
     if not check_partition(c, kind).ok:
         raise ValueError("expected a verifier-accepted partition")
-    if classify(c) is StructureClass.BASE:
-        return False
-    _, preimage = peel(c)
-    return check_partition(preimage, kind).ok
+    layer = _outer_layer(c)
+    return layer is not None and check_partition(layer[1], kind).ok

@@ -56,6 +56,56 @@ def naive_enumerate(kind: str, r: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def naive_two_fold(colors: tuple[int, ...]) -> tuple[int, ...]:
+    """The two-fold image by its position rule: odd x gets color 1, even
+    x = 2k gets the color of k plus one."""
+    return tuple(
+        1 if x % 2 else colors[x // 2 - 1] + 1 for x in range(1, 2 * len(colors) + 2)
+    )
+
+
+def naive_five_fold(colors: tuple[int, ...]) -> tuple[int, ...]:
+    """The five-fold image by its position rule: residues 1, 4 get color 1,
+    residues 2, 3 get color 2, and x = 5k gets the color of k plus two."""
+    rule = {1: 1, 4: 1, 2: 2, 3: 2}
+    return tuple(
+        rule[x % 5] if x % 5 else colors[x // 5 - 1] + 2
+        for x in range(1, 5 * len(colors) + 5)
+    )
+
+
+def naive_five_fold_preimage(colors: tuple[int, ...], r: int):
+    """The coloring whose five-fold image is this r-coloring, or None.
+
+    The candidate preimage exists when n = 4 mod 5, n >= 9, r >= 3 and
+    every color at 5k is at least 3; it is the answer when mapping it
+    forward gives the coloring back.
+    """
+    n = len(colors)
+    if n % 5 != 4 or n < 9 or r < 3:
+        return None
+    pre = tuple(colors[5 * k - 1] - 2 for k in range(1, (n - 4) // 5 + 1))
+    if min(pre) < 1 or naive_five_fold(pre) != colors:
+        return None
+    return pre
+
+
+def naive_two_fold_preimage(colors: tuple[int, ...], r: int):
+    """The coloring whose two-fold image is this r-coloring, or None.
+
+    The candidate preimage exists when n is odd, n >= 3, r >= 2 and every
+    color at 2k is at least 2; it is the answer when mapping it forward
+    gives the coloring back.
+    """
+    n = len(colors)
+    if n % 2 != 1 or n < 3 or r < 2:
+        return None
+    pre = tuple(colors[2 * k - 1] - 1 for k in range(1, (n - 1) // 2 + 1))
+    if min(pre) < 1 or naive_two_fold(pre) != colors:
+        return None
+    return pre
+
+
 def scan_max_order(feasible, limit: int, streak: int) -> int:
     """Largest feasible order by the per-order upward scan: test n = 1, 2,
     ... up to `limit` and stop once the `streak` orders above the best so

@@ -9,9 +9,9 @@ import sys
 
 import pytest
 
-from gskit.cli import main
-from gskit.construct import five_fold, two_fold
-from gskit.core import parse_coloring, parse_coloring_with_kind
+from gskit.cli import MAX_CONSTRUCT_ORDER, main
+from gskit.construct import five_fold, gs_number, two_fold
+from gskit.core import Kind, parse_coloring, parse_coloring_with_kind
 
 
 def invoke(argv, monkeypatch=None, stdin_text=None):
@@ -125,11 +125,62 @@ def test_construct_inverse_pattern_failure(capsys):
     assert "structure error" in err and "4 mod 5" in err
 
 
+@pytest.mark.parametrize(
+    "start, step, message",
+    [
+        ("1221", "i2", "order 4 is even; a two-fold image has odd order"),
+        ("12221", "i2", "position 3 is odd but has color 2, expected 1"),
+        ("111", "i2", "position 2 is even but has color 1"),
+        ("1", "i2", "a two-fold image has at least 2 colors and order >= 3"),
+        ("121", "i5", "order 3 is not congruent 4 mod 5, so not a five-fold image"),
+        ("2221", "i5", "position 1 has color 2, expected 1 (residue 1 mod 5)"),
+        ("1121", "i5", "position 2 has color 1, expected 2 (residue 2 mod 5)"),
+        ("122111221", "i5", "position 5 is a multiple of 5 but has color 1"),
+        ("1221", "i5", "a five-fold image has at least 3 colors and order >= 9"),
+    ],
+)
+def test_construct_inverse_pattern_messages(capsys, start, step, message):
+    # One case per raise site in inverse_two_fold and inverse_five_fold.
+    assert invoke(["construct", "--from", start, "--apply", step]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"structure error: {message}\n"
+
+
 def test_construct_usage_errors(capsys):
     assert invoke(["construct", "--base", "B9"]) == 2
     capsys.readouterr()
     assert invoke(["construct", "--base", "B2", "--kind", "weak"]) == 2
     assert "catalogue" in capsys.readouterr().err
+
+
+def test_construct_refuses_orders_above_cap(capsys, monkeypatch):
+    # The cap covers the maximal partitions up to strong r=18, weak r=17.
+    assert gs_number(18, Kind.STRONG).value - 1 <= MAX_CONSTRUCT_ORDER
+    assert gs_number(17, Kind.WEAK).value - 1 <= MAX_CONSTRUCT_ORDER
+    # Refused from the closed form, before anything is built.
+    monkeypatch.setattr("gskit.cli.maximal_partition", None)
+    assert invoke(["construct", "--maximal", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --maximal 30 would build order 30517578124, "
+        f"above the cap of {MAX_CONSTRUCT_ORDER}\n"
+    )
+    # The whole chain is sized before its first step runs: B1 -> 9, 49, ...,
+    # and the tenth step would reach 5^11 - 1.
+    assert invoke(["construct", "--base", "B1"] + ["--apply", "5"] * 10) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--apply 5 would build order 3906249" in captured.err
+    # Orders up to the cap pass, and inverse steps shrink the order the
+    # check follows: B1 -> 9 -> 49 -> 9 -> 49, never 249.
+    monkeypatch.setattr("gskit.cli.MAX_CONSTRUCT_ORDER", 49)
+    chain = ["--apply", "5", "--apply", "5", "--apply", "i5", "--apply", "5"]
+    assert invoke(["construct", "--base", "B1"] + chain) == 0
+    assert len(capsys.readouterr().out) == 50
+    assert invoke(["construct", "--base", "B1"] + ["--apply", "5"] * 3) == 2
+    assert "order 249, above the cap of 49" in capsys.readouterr().err
 
 
 def test_construct_json(capsys):
@@ -239,6 +290,14 @@ def test_search_deep_order_has_no_traceback():
     assert "Traceback" not in proc.stderr
 
 
+def test_search_streak_must_be_positive(capsys):
+    for mode in (["--n", "4"], ["--max-order"], ["--enumerate"]):
+        assert invoke(["search", "--r", "2", "--streak", "0"] + mode) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: streak must be positive\n"
+
+
 def test_search_flag_conflicts(capsys):
     assert invoke(["search", "--r", "3", "--max-order", "--n", "5"]) == 2
     capsys.readouterr()
@@ -282,6 +341,23 @@ def test_cnf_decode_invalid_partition(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == "1111\n"
     assert "monochromatic" in captured.err
+
+
+def test_cnf_decode_inline_literals(capsys):
+    assert invoke(["cnf", "decode", "v 1 -2 -3 4 -5 6 7 -8 0", "--n", "4", "--r", "2"]) == 0
+    assert capsys.readouterr().out == "1221\n"
+
+
+def test_cnf_decode_long_inline_argument(capsys):
+    # Too long to name a file, so it is read as literals, never looked up.
+    assert invoke(["cnf", "decode", "1" * 300, "--n", "3", "--r", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: literal ") and "Errno" not in err
+
+
+def test_cnf_decode_missing_file(capsys):
+    assert invoke(["cnf", "decode", "missing/model.txt", "--n", "4", "--r", "2"]) == 2
+    assert "no such file" in capsys.readouterr().err
 
 
 def test_cnf_decode_junk(capsys, monkeypatch):

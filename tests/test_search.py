@@ -95,6 +95,14 @@ def test_max_order_respects_limit():
     assert (m, confirmed) == (4, True)
 
 
+def test_streak_is_validated_by_max_order_not_config():
+    with pytest.raises(ValueError, match="streak must be positive"):
+        max_order(Kind.STRONG, 2, 7, streak=0)
+    with pytest.raises(ValueError, match="streak must be positive"):
+        enumerate_maximal(Kind.STRONG, 2, streak=0)
+    assert "streak" not in SearchConfig.__dataclass_fields__
+
+
 def test_max_order_matches_per_order_scan():
     for kind in (Kind.STRONG, Kind.WEAK):
         for r in range(1, 6):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from gskit.core import Coloring, Kind, check_partition, parse_coloring
+from gskit.core import Coloring, Kind, canonicalize, check_partition, parse_coloring
 from gskit.construct import (
+    BASE_CATALOGUE,
     MappingTag,
+    base_by_name,
     five_fold,
     maximal_partition,
     two_fold,
@@ -19,6 +21,8 @@ from gskit.structure import (
     peel,
     verify_image_structure,
 )
+
+from oracle import naive_five_fold_preimage, naive_two_fold_preimage
 
 
 def test_classify_examples():
@@ -143,3 +147,53 @@ def test_decomposition_dataclass_shape():
         base=parse_coloring("1"), tags=(MappingTag.FIVE_FOLD,), original_order=9
     )
     assert str(dec.replay()) == "122131221"
+
+
+def _assert_matches_image_oracle(c: Coloring):
+    five = naive_five_fold_preimage(c.colors, c.r)
+    two = naive_two_fold_preimage(c.colors, c.r)
+    if five is not None:
+        cls = StructureClass.FIVE_FOLD_IMAGE
+        layer = (MappingTag.FIVE_FOLD, Coloring(n=len(five), r=c.r - 2, colors=five))
+    elif two is not None:
+        cls = StructureClass.TWO_FOLD_IMAGE
+        layer = (MappingTag.TWO_FOLD, Coloring(n=len(two), r=c.r - 1, colors=two))
+    else:
+        cls = StructureClass.BASE
+        layer = None
+    assert classify(c) is cls, c
+    if layer is None:
+        with pytest.raises(ValueError, match="Base"):
+            peel(c)
+    else:
+        assert peel(c) == layer, c
+
+
+def test_classify_and_peel_match_image_oracle_on_small_colorings():
+    # Every canonical coloring with n <= 10 and r <= 4, unused top colors
+    # included.
+    for r in range(1, 5):
+        level = [()]
+        for _ in range(10):
+            level = [
+                colors + (v,)
+                for colors in level
+                for v in range(1, min(max(colors, default=0) + 1, r) + 1)
+            ]
+            for colors in level:
+                _assert_matches_image_oracle(Coloring(n=len(colors), r=r, colors=colors))
+
+
+def test_classify_and_peel_match_image_oracle_on_image_mutants():
+    # Every single-entry recoloring of the images of the catalogue bases,
+    # relabeled to canonical form.
+    for name in BASE_CATALOGUE:
+        _, base = base_by_name(name)
+        for image in (two_fold(base), five_fold(base)):
+            _assert_matches_image_oracle(image)
+            for i, old in enumerate(image.colors):
+                for v in range(1, image.r + 1):
+                    if v != old:
+                        colors = image.colors[:i] + (v,) + image.colors[i + 1:]
+                        mutant = Coloring(n=image.n, r=image.r, colors=colors)
+                        _assert_matches_image_oracle(canonicalize(mutant))
