@@ -134,6 +134,21 @@ def encode(n: int, r: int, kind: Kind, symmetry: bool = False) -> CnfDocument:
     )
 
 
+def clause_count(n: int, r: int, kind: Kind, symmetry: bool = False) -> int:
+    """The number of clauses `encode` emits, in closed form, without building
+    any.  With P = (n - 1)^2 // 4 pairs a < b with a + b <= n, the classes
+    hold n (1 + r(r - 1)/2), (P + [strong] n // 2) r, P r(r - 1)(r - 2), r
+    and, with symmetry, 1 + (n - 1)(r - 1) clauses."""
+    if n < 1 or r < 1:
+        raise ValueError("n and r must be positive")
+    pairs = (n - 1) ** 2 // 4
+    mono = pairs + (n // 2 if kind is Kind.STRONG else 0)
+    count = n * (1 + r * (r - 1) // 2) + mono * r + pairs * r * (r - 1) * (r - 2) + r
+    if symmetry:
+        count += 1 + (n - 1) * (r - 1)
+    return count
+
+
 def decode(model: list[int], n: int, r: int) -> Coloring:
     """Read a coloring off a solver model.
 

@@ -30,6 +30,34 @@ def naive_ok(colors: tuple[int, ...], kind: str) -> bool:
     return True
 
 
+def naive_pairs_at(colors: tuple[int, ...], c: int, kind: str) -> list:
+    """The violating pairs a + b = c, a <= b, with a ascending, as
+    (category, (a, b, c)) with category "MonochromaticSum" or "RainbowSum"."""
+    strong = kind == "strong"
+    out = []
+    cc = colors[c - 1]
+    for a in range(1, c // 2 + 1):
+        b = c - a
+        ca, cb = colors[a - 1], colors[b - 1]
+        if ca == cb == cc and (strong or a != b):
+            out.append(("MonochromaticSum", (a, b, c)))
+        elif ca != cb and cb != cc and ca != cc:
+            out.append(("RainbowSum", (a, b, c)))
+    return out
+
+
+def naive_violations(colors: tuple[int, ...], r: int, kind: str, exhaustive: bool) -> list:
+    """The verifier's witness list for an r-coloring, as (category, triple,
+    color) entries: colors above r ascending, then the bad pairs by c and
+    then a, then the colors in [1, r] that never occur.  Without
+    `exhaustive`, only the first entry."""
+    out = [("BadColorRange", None, v) for v in sorted(set(colors)) if v > r]
+    for c in range(2, len(colors) + 1):
+        out += [(cat, triple, None) for cat, triple in naive_pairs_at(colors, c, kind)]
+    out += [("EmptyColor", None, v) for v in range(1, r + 1) if v not in colors]
+    return out if exhaustive else out[:1]
+
+
 def is_canonical_tuple(colors: tuple[int, ...]) -> bool:
     """First occurrences of colors appear as 1, 2, 3, ... in order."""
     seen: list[int] = []

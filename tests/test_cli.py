@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gskit.cli import MAX_CONSTRUCT_ORDER, main
+from gskit.cli import MAX_CNF_CLAUSES, MAX_CONSTRUCT_ORDER, main
 from gskit.construct import five_fold, gs_number, two_fold
 from gskit.core import Kind, parse_coloring, parse_coloring_with_kind
+from gskit.satgen import clause_count
 
 
 def invoke(argv, monkeypatch=None, stdin_text=None):
@@ -73,6 +77,20 @@ def test_verify_long_inline_partition(capsys):
     assert len(text) == 624
     assert invoke(["verify", text]) == 0
     assert capsys.readouterr().out == "ok\n"
+
+
+def test_declared_r_above_n_is_an_input_error(capsys, monkeypatch):
+    # 45 bytes that would otherwise cost O(r) work and one witness per
+    # unused color.
+    text = "gspartition v1 kind=strong r=3000000 n=4\n1 2 2 1\n"
+    for argv in (["verify", "-", "--all-witnesses", "--json"], ["decompose", "-"]):
+        assert invoke(argv, monkeypatch, text) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: declared r=3000000 exceeds n=4; "
+            "a partition of [1, n] has at most n colors\n"
+        )
 
 
 def test_table_values(capsys):
@@ -329,6 +347,23 @@ def test_cnf_encode_output(capsys):
     assert out.splitlines()[1] == "c n=4 r=2 kind=strong symmetry=off"
 
 
+def test_cnf_encode_refuses_clause_counts_above_cap(capsys, monkeypatch):
+    # The bench instance fits under the cap.
+    assert clause_count(124, 6, Kind.STRONG, symmetry=True) == 479_510 <= MAX_CNF_CLAUSES
+    # Refused from the closed form, before any clause is built.
+    monkeypatch.setattr("gskit.cli.encode", None)
+    assert invoke(["cnf", "encode", "--n", "100000", "--r", "50", "--symmetry"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --n 100000 --r 50 would emit 294119247500002 clauses, "
+        f"above the cap of {MAX_CNF_CLAUSES}\n"
+    )
+    monkeypatch.setattr("gskit.cli.MAX_CNF_CLAUSES", 19)
+    assert invoke(["cnf", "encode", "--n", "5", "--r", "2", "--kind", "weak"]) == 2
+    assert "would emit 20 clauses, above the cap of 19" in capsys.readouterr().err
+
+
 def test_cnf_decode_model(capsys, monkeypatch):
     model = "v 1 -2 -3 4 -5 6 7 -8 0\n"
     assert invoke(["cnf", "decode", "--n", "4", "--r", "2"], monkeypatch, model) == 0
@@ -372,3 +407,86 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "ok\n"
+
+
+# A small grammar of gskit command lines.  Orders, color counts and budgets
+# stay small so no command searches for long, and --workers is never above
+# 1, so no process pool starts; positional inputs and stdin are arbitrary.
+_KINDS = st.sampled_from([[], ["--kind", "strong"], ["--kind", "weak"]])
+_FLAG = st.sampled_from([[], ["--json"]])
+_INPUTS = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="0123456789", min_size=1, max_size=40),
+    st.sampled_from([
+        "-", "1221", "123", "111", "2112", "122131221", "12121312131313121",
+        "gspartition v1 kind=weak r=2 n=3\n1 2 1\n",
+        "gspartition v1 kind=strong r=7 n=4\n1 2 2 1\n",
+        "gspartition v1 kind=strong r=2 n=4\n1 2 9 1\n",
+        "v 1 -2 -3 4 -5 6 7 -8 0", "no/such/file.txt",
+    ]),
+)
+
+
+def _small(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["verify", "table", "construct", "decompose", "search", "cnf"]
+    ))
+    if command == "verify":
+        argv = [command, draw(_INPUTS)] + draw(_KINDS) + draw(_FLAG)
+        argv += draw(st.sampled_from([[], ["--all-witnesses"]]))
+    elif command == "table":
+        argv = [command] + draw(_KINDS) + draw(_FLAG)
+        argv += draw(_opt("--max-r", _small(-2, 12)))
+    elif command == "construct":
+        start = draw(st.one_of(
+            st.sampled_from(["B1", "B2", "C2", "B9"]).map(lambda b: ["--base", b]),
+            st.one_of(_small(-1, 8), _small(19, 40)).map(lambda r: ["--maximal", r]),
+            _INPUTS.map(lambda text: ["--from", text]),
+        ))
+        steps = draw(st.lists(st.sampled_from(["2", "5", "i2", "i5"]), max_size=3))
+        argv = [command] + start + draw(_KINDS) + draw(_FLAG)
+        argv += [token for step in steps for token in ("--apply", step)]
+    elif command == "decompose":
+        argv = [command, draw(_INPUTS)] + draw(_FLAG)
+    elif command == "search":
+        argv = [command, "--r", draw(_small(-1, 4))] + draw(_KINDS) + draw(_FLAG)
+        argv += draw(st.sampled_from(
+            [[], ["--max-order"], ["--enumerate"], ["--max-order", "--enumerate"]]
+        ))
+        argv += draw(_opt("--n", _small(-1, 14)))
+        argv += draw(_opt("--limit", _small(-1, 30)))
+        argv += draw(_opt("--streak", _small(-1, 6)))
+        argv += draw(_opt("--workers", _small(-1, 1)))
+        argv += draw(_opt("--split-depth", _small(-2, 6)))
+        argv += draw(_opt("--budget", _small(-1, 3000)))
+        argv += draw(_opt("--wall", st.sampled_from(["0", "-1", "0.5", "nan", "inf"])))
+    else:
+        argv = [command, draw(st.sampled_from(["encode", "decode"]))]
+        argv += ["--n", draw(_small(-1, 8)), "--r", draw(_small(-1, 4))]
+        argv += draw(_KINDS) + draw(st.sampled_from([[], ["--symmetry"]]))
+        argv += draw(st.one_of(st.just([]), _INPUTS.map(lambda m: [m])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv(), stdin_text=st.text(max_size=60))
+def test_cli_never_tracebacks(argv, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = invoke(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -5,7 +5,10 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gskit.construct import maximal_partition
 from gskit.core import (
     Coloring,
     Kind,
@@ -13,6 +16,7 @@ from gskit.core import (
     Violation,
     ViolationClass,
     canonicalize,
+    _bad_sums,
     check_partition,
     color_classes,
     is_canonical,
@@ -21,7 +25,7 @@ from gskit.core import (
     to_file_form,
 )
 
-from oracle import naive_ok
+from oracle import naive_ok, naive_pairs_at, naive_violations
 
 
 def test_kind_from_name():
@@ -74,6 +78,19 @@ def test_file_form_header_mismatches():
         parse_coloring("gspartition v2 kind=strong r=2 n=4\n1 2 2 1\n")
     with pytest.raises(ParseError):
         parse_coloring("gspartition v1 kind=strong r=2 n=4\n1 2 0 1\n")
+
+
+def test_file_form_refuses_declared_r_above_n():
+    # No partition of [1, n] has more than n colors; refusing the header
+    # keeps a tiny file from costing O(r) work downstream.
+    with pytest.raises(ParseError) as exc:
+        parse_coloring("gspartition v1 kind=strong r=3000000 n=4\n1 2 2 1\n")
+    assert str(exc.value) == (
+        "declared r=3000000 exceeds n=4; a partition of [1, n] has at most n colors"
+    )
+    assert exc.value.position == 1
+    c = parse_coloring("gspartition v1 kind=strong r=4 n=4\n1 2 2 1\n")
+    assert [v.color for v in check_partition(c, Kind.STRONG, exhaustive=True).violations] == [3, 4]
 
 
 def test_coloring_validation():
@@ -199,3 +216,77 @@ def test_verifier_matches_naive_oracle_small():
                     range(1, c.r + 1)
                 )
                 assert got == want, (kind, colors)
+
+
+def _entries(verdict):
+    return [(v.category.value, v.triple, v.color) for v in verdict.violations]
+
+
+_BASES = [
+    maximal_partition(r, kind).colors
+    for kind in (Kind.STRONG, Kind.WEAK)
+    for r in (3, 5, 6)
+]
+
+
+@st.composite
+def _colorings(draw):
+    """A prefix of a maximal partition with a few entries recolored (few
+    failing sums; colors may exceed r or go missing), or an arbitrary
+    coloring, up to one color class per entry."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(_BASES))
+        colors = list(base[: draw(st.integers(1, len(base)))])
+        for _ in range(draw(st.integers(0, 3))):
+            pos = draw(st.integers(0, len(colors) - 1))
+            colors[pos] = draw(st.integers(1, max(colors) + 2))
+    else:
+        k = draw(st.integers(1, 60))
+        colors = draw(st.lists(st.integers(1, k), min_size=1, max_size=150))
+    r = max(1, max(colors) + draw(st.integers(-2, 2)))
+    return tuple(colors), r
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_colorings(), kind=st.sampled_from(list(Kind)), exhaustive=st.booleans())
+def test_verifier_witnesses_match_naive_oracle(case, kind, exhaustive):
+    colors, r = case
+    verdict = check_partition(Coloring(n=len(colors), r=r, colors=colors), kind, exhaustive)
+    assert _entries(verdict) == naive_violations(colors, r, kind.value, exhaustive)
+
+
+def test_verifier_scans_only_failing_sums():
+    # With a few large classes the masks name exactly the c with a bad pair.
+    base = maximal_partition(6, Kind.STRONG).colors
+    for pos, color in ((1, 2), (7, 1), (60, 3), (61, 7), (124, 1)):
+        colors = base[: pos - 1] + (color,) + base[pos:]
+        for kind in Kind:
+            want = [c for c in range(2, 125) if naive_pairs_at(colors, c, kind.value)]
+            assert list(_bad_sums(colors, kind is Kind.STRONG)) == want
+    assert list(_bad_sums(base, True)) == []
+    # Sums whose only bad pair is a + a or a + (a + 1), at the end of the
+    # first prefix (64) and at the end of the coloring (65).
+    for n, ones in ((100, (32, 64)), (65, (32, 33, 65))):
+        colors = tuple(1 if x in ones else 2 for x in range(1, n + 1))
+        for kind in Kind:
+            want = [c for c in range(2, len(colors) + 1)
+                    if naive_pairs_at(colors, c, kind.value)]
+            assert list(_bad_sums(colors, kind is Kind.STRONG)) == want
+
+
+def test_verifier_accepts_strong_r11_and_r12_maximal():
+    for r, n in ((11, 6249), (12, 15624)):
+        c = maximal_partition(r, Kind.STRONG)
+        assert c.n == n
+        assert check_partition(c, Kind.STRONG).ok
+
+
+def test_verifier_r12_mutant_reports_first_pair_at_mutation():
+    base = maximal_partition(12, Kind.STRONG).colors
+    pos = 10_001
+    colors = base[: pos - 1] + (base[pos - 1] % 12 + 1,) + base[pos:]
+    # Every triple below pos is untouched, so the first witness has c = pos.
+    first = naive_pairs_at(colors, pos, "strong")
+    assert first
+    verdict = check_partition(Coloring(n=len(colors), r=12, colors=colors), Kind.STRONG)
+    assert _entries(verdict) == [first[0] + (None,)]

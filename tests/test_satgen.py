@@ -10,6 +10,7 @@ from gskit.core import Coloring, Kind, canonicalize, check_partition
 from gskit.satgen import (
     CnfDocument,
     clause_census,
+    clause_count,
     decode,
     encode,
     parse_model,
@@ -180,3 +181,17 @@ def test_model_roundtrip_through_text():
     text = "s SATISFIABLE\nv " + " ".join(str(lit) for lit in model) + " 0\n"
     assert parse_model(text) == model
     assert check_partition(decode(parse_model(text), 9, 3), Kind.STRONG).ok
+
+
+def test_clause_count_closed_form_matches_encode():
+    for n in range(1, 13):
+        for r in range(1, 6):
+            for kind in (Kind.STRONG, Kind.WEAK):
+                for symmetry in (False, True):
+                    doc = encode(n, r, kind, symmetry=symmetry)
+                    assert clause_count(n, r, kind, symmetry) == len(doc.clauses), (
+                        n, r, kind, symmetry,
+                    )
+    assert clause_count(124, 6, Kind.STRONG, symmetry=True) == 479_510
+    with pytest.raises(ValueError):
+        clause_count(0, 3, Kind.STRONG)
