@@ -51,7 +51,7 @@ from .search import (
     report_json,
     run_search,
 )
-from .satgen import clause_count, decode, encode, parse_model, to_dimacs
+from .satgen import clause_count, decode, parse_model, write_dimacs
 
 
 class UsageError(Exception):
@@ -308,10 +308,11 @@ def cmd_search(args) -> int:
     return 1 if report.exhausted else 3
 
 
-# Most clauses cnf encode emits.  The whole document is held in memory
-# (about 350 bytes per clause: 166 MB peak RSS for the 479,510 clauses of
-# n=124, r=6), so a bigger request is refused, from the closed-form count,
-# before any clause is built.
+# Most clauses cnf encode emits.  The text is streamed block by block, so
+# memory stays flat (about 20 MB peak RSS up to the cap); the cap bounds the
+# size of the output (about 40 MB near it) and the time to write it.  A
+# bigger request is refused, from the closed-form count, before any clause
+# is written.
 MAX_CNF_CLAUSES = 2_000_000
 
 
@@ -326,7 +327,7 @@ def cmd_cnf(args) -> int:
                 f"--n {args.n} --r {args.r} would emit {count} clauses, "
                 f"above the cap of {MAX_CNF_CLAUSES}"
             )
-        sys.stdout.write(to_dimacs(encode(args.n, args.r, kind, symmetry=args.symmetry)))
+        write_dimacs(sys.stdout, args.n, args.r, kind, symmetry=args.symmetry)
         return 0
     model = parse_model(_read_input(args.model))
     coloring = decode(model, args.n, args.r)
@@ -426,7 +427,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`gskit ... | head`): stop quietly.  Point
+        # stdout at devnull so the interpreter's exit flush of what is still
+        # buffered does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except UsageError as e:
         _err(f"error: {e}")
         return 2

@@ -19,11 +19,18 @@ numbered (v - 1) * r + i.  Clause classes:
 The at-most-one and rainbow shapes are deliberately the naive pairwise
 and ordered-triple expansions; at the color counts this artifact targets
 their size is negligible and nothing subtler pays for itself.
+
+The clause set is defined once, by the generator `_clause_blocks`, which
+yields the DIMACS text of the clauses in blocks.  `write_dimacs` streams
+those blocks to a writer (what `gskit cnf encode` runs); `encode` parses
+them back into a `CnfDocument` for library callers and the tests.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TextIO
 
 from .core import Coloring, Kind
 
@@ -63,65 +70,83 @@ def var_index(v: int, i: int, r: int) -> int:
     return (v - 1) * r + i
 
 
+def _clause_blocks(
+    n: int, r: int, kind: Kind, symmetry: bool
+) -> Iterator[tuple[str, str]]:
+    """The clause set, defined once, as (label, text) blocks in DIMACS order.
+
+    Each text is a run of DIMACS clause lines, every one ending in " 0\n":
+    one class (a) block per v, one class (b) and one class (c) block per c,
+    one class (d) block and, with `symmetry`, one class (e) block per v.
+    Literals come from string tables built once, so no clause is ever held
+    as a list of ints.
+    """
+    strong = kind is Kind.STRONG
+    colors = range(1, r + 1)
+    # pos[v][i] and neg[v][i] are the literals of x[v, i]; index 0 is unused.
+    pos = [[]] + [[""] + [str((v - 1) * r + i) for i in colors] for v in range(1, n + 1)]
+    neg = [[]] + [[""] + ["-" + lit for lit in row[1:]] for row in pos[1:]]
+
+    color_pairs = [(i, j) for i in colors for j in range(i + 1, r + 1)]
+    for v in range(1, n + 1):
+        p, m = pos[v], neg[v]
+        yield "a", " ".join(p[1:]) + " 0\n" + "".join(
+            f"{m[i]} {m[j]} 0\n" for i, j in color_pairs
+        )
+
+    for c in range(2, n + 1):
+        mc = neg[c]
+        lines = []
+        for a in range(1, c // 2 + 1):
+            b = c - a
+            ma, mb = neg[a], neg[b]
+            if a != b:
+                lines += [f"{ma[i]} {mb[i]} {mc[i]} 0\n" for i in colors]
+            elif strong:
+                lines += [f"{ma[i]} {mc[i]} 0\n" for i in colors]
+        yield "b", "".join(lines)
+
+    triples = [(i, j, k) for i in colors for j in colors for k in colors
+               if j != i and k != i and k != j]
+    for c in range(3, n + 1):
+        mc = neg[c]
+        lines = []
+        for a in range(1, (c - 1) // 2 + 1):
+            ma, mb = neg[a], neg[c - a]
+            lines += [f"{ma[i]} {mb[j]} {mc[k]} 0\n" for i, j, k in triples]
+        yield "c", "".join(lines)
+
+    yield "d", "".join(
+        " ".join(pos[v][i] for v in range(1, n + 1)) + " 0\n" for i in colors
+    )
+
+    if symmetry:
+        yield "e", pos[1][1] + " 0\n"
+        # below[i]: the literals x[u, i] for every u below the current v.
+        below = [""] + [pos[1][i] for i in colors]
+        for v in range(2, n + 1):
+            m = neg[v]
+            yield "e", "".join(f"{m[j]} {below[j - 1]} 0\n" for j in range(2, r + 1))
+            below = [""] + [f"{below[i]} {pos[v][i]}" for i in colors]
+
+
 def encode(n: int, r: int, kind: Kind, symmetry: bool = False) -> CnfDocument:
     """Build the CNF whose models are the valid colorings of [1, n].
 
     Satisfying assignments correspond exactly to colorings that pass the
     verifier and use all r colors; with `symmetry` the correspondence is
     restricted to canonical colorings without changing satisfiability.
+    The clauses are parsed back from the text `write_dimacs` streams, so
+    both come from the one definition in `_clause_blocks`.
     """
     if n < 1 or r < 1:
         raise ValueError("n and r must be positive")
-    strong = kind is Kind.STRONG
     clauses: list[list[int]] = []
     labels: list[str] = []
-
-    def add(label: str, lits: list[int]):
-        clauses.append(lits)
-        labels.append(label)
-
-    def x(v: int, i: int) -> int:
-        return (v - 1) * r + i
-
-    for v in range(1, n + 1):
-        add("a", [x(v, i) for i in range(1, r + 1)])
-        for i in range(1, r + 1):
-            for j in range(i + 1, r + 1):
-                add("a", [-x(v, i), -x(v, j)])
-
-    for c in range(2, n + 1):
-        for a in range(1, c // 2 + 1):
-            b = c - a
-            if a == b and not strong:
-                continue
-            for i in range(1, r + 1):
-                if a == b:
-                    add("b", [-x(a, i), -x(c, i)])
-                else:
-                    add("b", [-x(a, i), -x(b, i), -x(c, i)])
-
-    for c in range(3, n + 1):
-        for a in range(1, (c - 1) // 2 + 1):
-            b = c - a
-            for i in range(1, r + 1):
-                for j in range(1, r + 1):
-                    if j == i:
-                        continue
-                    for k in range(1, r + 1):
-                        if k == i or k == j:
-                            continue
-                        add("c", [-x(a, i), -x(b, j), -x(c, k)])
-
-    for i in range(1, r + 1):
-        add("d", [x(v, i) for v in range(1, n + 1)])
-
-    if symmetry:
-        add("e", [x(1, 1)])
-        for v in range(2, n + 1):
-            for j in range(2, r + 1):
-                add("e", [-x(v, j)] + [x(u, j - 1) for u in range(1, v)])
-
-    varmap = {(v, i): x(v, i) for v in range(1, n + 1) for i in range(1, r + 1)}
+    for label, text in _clause_blocks(n, r, kind, symmetry):
+        clauses += [[int(lit) for lit in line.split()[:-1]] for line in text.splitlines()]
+        labels += [label] * (len(clauses) - len(labels))
+    varmap = {(v, i): var_index(v, i, r) for v in range(1, n + 1) for i in range(1, r + 1)}
     return CnfDocument(
         n=n,
         r=r,
@@ -154,8 +179,11 @@ def decode(model: list[int], n: int, r: int) -> Coloring:
 
     `model` is a list of signed variable indices (DIMACS literals, no
     terminating 0).  Every position must receive exactly one positive
-    color variable.
+    color variable.  r may not exceed n, checked before any work: no
+    partition of [1, n] has more than n colors.
     """
+    if r > n:
+        raise ValueError(f"r={r} exceeds n={n}; a partition of [1, n] has at most n colors")
     positive: set[int] = set()
     for lit in model:
         if lit == 0 or abs(lit) > n * r:
@@ -201,18 +229,40 @@ def satisfies(doc: CnfDocument, c: Coloring) -> bool:
     return True
 
 
+def _dimacs_header(n: int, r: int, kind: Kind, symmetry: bool, num_clauses: int) -> str:
+    """Header comments pin the generating parameters; then the problem line."""
+    return (
+        "c gallai-schur partition constraints\n"
+        f"c n={n} r={r} kind={kind.value} symmetry={'on' if symmetry else 'off'}\n"
+        "c variable x[v,i] has index (v-1)*r+i\n"
+        f"p cnf {n * r} {num_clauses}\n"
+    )
+
+
+def write_dimacs(out: TextIO, n: int, r: int, kind: Kind, symmetry: bool = False):
+    """Stream the DIMACS text of `encode(n, r, kind, symmetry)` to `out`.
+
+    The bytes equal `to_dimacs(encode(...))`, but no clause list or whole
+    document is built: the header count comes from `clause_count` and the
+    clauses are written block by block.  Raises RuntimeError, after the
+    last block, if the emitted clauses do not match the header's count.
+    """
+    count = clause_count(n, r, kind, symmetry)
+    out.write(_dimacs_header(n, r, kind, symmetry, count))
+    emitted = 0
+    for _, text in _clause_blocks(n, r, kind, symmetry):
+        out.write(text)
+        emitted += text.count("\n")
+    if emitted != count:
+        raise RuntimeError(f"emitted {emitted} clauses, header declares {count}")
+
+
 def to_dimacs(doc: CnfDocument) -> str:
-    """Standard DIMACS text; header comments pin the generating parameters."""
-    lines = [
-        "c gallai-schur partition constraints",
-        f"c n={doc.n} r={doc.r} kind={doc.kind.value} "
-        f"symmetry={'on' if doc.symmetry else 'off'}",
-        "c variable x[v,i] has index (v-1)*r+i",
-        f"p cnf {doc.num_vars} {len(doc.clauses)}",
-    ]
-    for clause in doc.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
+    """Standard DIMACS text of any document, in `write_dimacs`'s format."""
+    header = _dimacs_header(doc.n, doc.r, doc.kind, doc.symmetry, len(doc.clauses))
+    return header + "".join(
+        " ".join(str(lit) for lit in clause) + " 0\n" for clause in doc.clauses
+    )
 
 
 def parse_model(text: str) -> list[int]:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from gskit.cli import MAX_CNF_CLAUSES, MAX_CONSTRUCT_ORDER, main
 from gskit.construct import five_fold, gs_number, two_fold
 from gskit.core import Kind, parse_coloring, parse_coloring_with_kind
-from gskit.satgen import clause_count
+from gskit.satgen import clause_count, encode, to_dimacs
 
 
 def invoke(argv, monkeypatch=None, stdin_text=None):
@@ -351,7 +353,7 @@ def test_cnf_encode_refuses_clause_counts_above_cap(capsys, monkeypatch):
     # The bench instance fits under the cap.
     assert clause_count(124, 6, Kind.STRONG, symmetry=True) == 479_510 <= MAX_CNF_CLAUSES
     # Refused from the closed form, before any clause is built.
-    monkeypatch.setattr("gskit.cli.encode", None)
+    monkeypatch.setattr("gskit.cli.write_dimacs", None)
     assert invoke(["cnf", "encode", "--n", "100000", "--r", "50", "--symmetry"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -397,6 +399,54 @@ def test_cnf_decode_missing_file(capsys):
 
 def test_cnf_decode_junk(capsys, monkeypatch):
     assert invoke(["cnf", "decode", "--n", "4", "--r", "2"], monkeypatch, "zzz\n") == 2
+
+
+def test_cnf_decode_refuses_r_above_n(capsys):
+    assert invoke(["cnf", "decode", "1", "--n", "1", "--r", "3000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: r=3000000 exceeds n=1; a partition of [1, n] has at most n colors\n"
+    )
+
+
+def test_cnf_encode_streams_parent_bytes(capsys):
+    assert invoke(["cnf", "encode", "--n", "9", "--r", "3", "--symmetry"]) == 0
+    out = capsys.readouterr().out
+    assert out == to_dimacs(encode(9, 3, Kind.STRONG, symmetry=True))
+    assert len(out) == 2765
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a1cd363c88c1b0286186e72e4ba69a49035c180e75c29aad8a34b7466c4d1b49"
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["construct", "--maximal", "8"],
+    ["cnf", "encode", "--n", "124", "--r", "6"],
+])
+def test_closed_stdout_exits_quietly(argv, unbuffered):
+    # A reader that has gone away (`gskit ... | head -c 5`): every write to
+    # stdout fails with EPIPE, which is not an input error.  With buffered
+    # stdout (the default) the interpreter's exit flush must not fail either.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gskit.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_console_entry_point():
