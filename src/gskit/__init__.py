@@ -7,128 +7,53 @@ non-empty.  The package verifies such partitions, constructs them from a
 small catalogue of bases via order-doubling and order-quintupling
 mappings, decomposes given partitions back into base and mapping chain,
 searches orders exhaustively, and emits DIMACS CNF for external solvers.
+
+The layers are core, construct, structure, search and satgen.  Importing
+the package loads none of them: a public name (or a layer, as in
+`gskit.search`) is imported on first access through the module-level
+`__getattr__` of PEP 562 and cached in this namespace, so `gskit.cli` and
+other callers pay only for the layers they use.
 """
 
-from .core import (
-    Coloring,
-    Kind,
-    ParseError,
-    Verdict,
-    Violation,
-    ViolationClass,
-    canonicalize,
-    check_partition,
-    color_classes,
-    is_canonical,
-    parse_coloring,
-    parse_coloring_with_kind,
-    to_file_form,
-)
-from .construct import (
-    BASE_CATALOGUE,
-    GsFunctionValue,
-    MappingTag,
-    PatternError,
-    apply_mappings,
-    base_by_name,
-    base_partitions,
-    five_fold,
-    gs_number,
-    inverse_five_fold,
-    inverse_two_fold,
-    maximal_partition,
-    two_fold,
-)
-from .structure import (
-    Decomposition,
-    StructureClass,
-    classify,
-    decompose_full,
-    peel,
-    verify_image_structure,
-)
-from .search import (
-    PartialResultError,
-    SearchConfig,
-    SearchMode,
-    SearchReport,
-    SubtreeTask,
-    enumerate_maximal,
-    exists_partition,
-    max_order,
-    parallel_split,
-    report_json,
-    run_search,
-    run_task,
-)
-from .satgen import (
-    CnfDocument,
-    clause_census,
-    clause_count,
-    decode,
-    encode,
-    parse_model,
-    satisfies,
-    to_dimacs,
-    var_index,
-    write_dimacs,
-)
+from importlib import import_module
 
-__all__ = [
-    "BASE_CATALOGUE",
-    "CnfDocument",
-    "Coloring",
-    "Decomposition",
-    "GsFunctionValue",
-    "Kind",
-    "MappingTag",
-    "ParseError",
-    "PartialResultError",
-    "PatternError",
-    "SearchConfig",
-    "SearchMode",
-    "SearchReport",
-    "StructureClass",
-    "SubtreeTask",
-    "Verdict",
-    "Violation",
-    "ViolationClass",
-    "apply_mappings",
-    "base_by_name",
-    "base_partitions",
-    "canonicalize",
-    "check_partition",
-    "classify",
-    "clause_census",
-    "clause_count",
-    "color_classes",
-    "decode",
-    "decompose_full",
-    "encode",
-    "enumerate_maximal",
-    "exists_partition",
-    "five_fold",
-    "gs_number",
-    "inverse_five_fold",
-    "inverse_two_fold",
-    "is_canonical",
-    "max_order",
-    "maximal_partition",
-    "parallel_split",
-    "parse_coloring",
-    "parse_coloring_with_kind",
-    "parse_model",
-    "peel",
-    "report_json",
-    "run_search",
-    "run_task",
-    "satisfies",
-    "to_dimacs",
-    "to_file_form",
-    "two_fold",
-    "var_index",
-    "verify_image_structure",
-    "write_dimacs",
-]
+# Public name -> the layer that defines it.
+_EXPORTS = {
+    name: layer
+    for layer, names in (
+        ("core", """Coloring Kind ParseError Verdict Violation ViolationClass
+            canonicalize check_partition color_classes is_canonical
+            parse_coloring parse_coloring_with_kind to_file_form"""),
+        ("construct", """BASE_CATALOGUE GsFunctionValue MappingTag PatternError
+            apply_mappings base_by_name base_partitions five_fold gs_number
+            inverse_five_fold inverse_two_fold maximal_partition two_fold"""),
+        ("structure", """Decomposition StructureClass classify decompose_full
+            peel verify_image_structure"""),
+        ("search", """PartialResultError SearchConfig SearchMode SearchReport
+            SubtreeTask enumerate_maximal exists_partition max_order
+            parallel_split report_json run_search run_task"""),
+        ("satgen", """CnfDocument clause_census clause_count decode encode
+            parse_model satisfies to_dimacs var_index write_dimacs"""),
+    )
+    for name in names.split()
+}
+_LAYERS = frozenset(_EXPORTS.values())
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _LAYERS:
+        return import_module(f".{name}", __name__)
+    layer = _EXPORTS.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{layer}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

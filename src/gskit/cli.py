@@ -41,17 +41,8 @@ from .construct import (
     maximal_partition,
     two_fold,
 )
-from .structure import decompose_full
-from .search import (
-    PartialResultError,
-    SearchConfig,
-    SearchMode,
-    exists_partition,
-    max_order,
-    report_json,
-    run_search,
-)
-from .satgen import clause_count, decode, parse_model, write_dimacs
+# structure, search and satgen are imported inside the commands that run
+# them, so each command loads only the layers it needs.
 
 
 class UsageError(Exception):
@@ -139,9 +130,18 @@ def cmd_verify(args) -> int:
     return 0 if verdict.ok else 1
 
 
+# Largest r for which a command computes GS(r).  GS(12,303) has 4,300
+# digits, the most Python converts to text by default, and GS(12,304) has
+# 4,301 for both kinds; past this the value could not be printed, and
+# computing it would take seconds at r in the millions.
+MAX_GS_R = 12_303
+
+
 def cmd_table(args) -> int:
     if args.max_r < 1:
         raise UsageError("--max-r must be at least 1")
+    if args.max_r > MAX_GS_R:
+        raise UsageError(f"--max-r {args.max_r} is above the cap of {MAX_GS_R}")
     kind = Kind.from_name(args.kind)
     rows = [gs_number(r, kind) for r in range(1, args.max_r + 1)]
     if args.json:
@@ -181,6 +181,11 @@ def _check_construct_order(n: int, what: str):
 def cmd_construct(args) -> int:
     if args.maximal is not None:
         kind = Kind.from_name(args.kind) if args.kind else Kind.STRONG
+        if args.maximal > MAX_GS_R:
+            raise UsageError(
+                f"--maximal {args.maximal} would build an order of over 4300 "
+                f"digits, above the cap of {MAX_CONSTRUCT_ORDER}"
+            )
         order = gs_number(args.maximal, kind).value - 1
         _check_construct_order(order, f"--maximal {args.maximal}")
         current = maximal_partition(args.maximal, kind)
@@ -216,6 +221,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .structure import decompose_full
+
     coloring, _ = parse_coloring_with_kind(_read_input(args.input))
     canon = canonicalize(coloring)
     if canon != coloring:
@@ -234,6 +241,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import SearchConfig, SearchMode, max_order, report_json, run_search
+
     if args.r < 1:
         raise UsageError("--r must be at least 1")
     kind = Kind.from_name(args.kind)
@@ -317,6 +326,8 @@ MAX_CNF_CLAUSES = 2_000_000
 
 
 def cmd_cnf(args) -> int:
+    from .satgen import clause_count, decode, parse_model, write_dimacs
+
     if args.n < 1 or args.r < 1:
         raise UsageError("--n and --r must be at least 1")
     kind = Kind.from_name(args.kind)
@@ -447,11 +458,6 @@ def main(argv=None) -> int:
     except PatternError as e:
         _err(f"structure error: {e}")
         return 1
-    except PartialResultError as e:
-        for w in e.witnesses:
-            print(str(w))
-        _err(f"inconclusive: {e}")
-        return 3
     except ValueError as e:
         _err(f"error: {e}")
         return 2

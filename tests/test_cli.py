@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gskit.cli import MAX_CNF_CLAUSES, MAX_CONSTRUCT_ORDER, main
+from gskit.cli import MAX_CNF_CLAUSES, MAX_CONSTRUCT_ORDER, MAX_GS_R, main
 from gskit.construct import five_fold, gs_number, two_fold
 from gskit.core import Kind, parse_coloring, parse_coloring_with_kind
 from gskit.satgen import clause_count, encode, to_dimacs
@@ -111,6 +111,43 @@ def test_table_json_and_errors(capsys):
     assert doc["kind"] == "weak"
     assert [row["value"] for row in doc["rows"]] == [3, 9, 18, 45, 90, 225]
     assert invoke(["table", "--max-r", "0"]) == 2
+
+
+def test_table_refuses_max_r_above_cap(capsys):
+    # GS(12,303) is the last value with at most 4,300 digits, the most
+    # Python converts to text by default, so every row that printed before
+    # the cap still prints.
+    for kind in Kind:
+        assert len(str(gs_number(MAX_GS_R, kind).value)) == 4300
+        with pytest.raises(ValueError, match="4300 digits"):
+            str(gs_number(MAX_GS_R + 1, kind).value)
+    # Refused before any row is printed, text and JSON alike.
+    for argv, max_r in ((["--max-r", "30000"], 30000),
+                        (["--max-r", "12304", "--json"], 12304),
+                        (["--kind", "weak", "--max-r", "100000000"], 100000000)):
+        assert invoke(["table", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --max-r {max_r} is above the cap of 12303\n"
+
+
+def test_construct_refuses_huge_maximal_before_computing(capsys, monkeypatch):
+    # GS(R) is never computed past the cap: 5^(R/2) at R = 10^7 takes seconds.
+    monkeypatch.setattr("gskit.cli.gs_number", None)
+    for r in ("12304", "100000", "10000000"):
+        assert invoke(["construct", "--maximal", r, "--kind", "weak"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --maximal {r} would build an order of over 4300 digits, "
+            f"above the cap of {MAX_CONSTRUCT_ORDER}\n"
+        )
+    monkeypatch.undo()
+    # Up to the cap the refusal still names the order.
+    assert invoke(["construct", "--maximal", str(MAX_GS_R)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --maximal {MAX_GS_R} would build order ")
+    assert len(err.split()[6].rstrip(",")) == 4300
 
 
 def test_construct_base_apply(capsys):
@@ -353,7 +390,7 @@ def test_cnf_encode_refuses_clause_counts_above_cap(capsys, monkeypatch):
     # The bench instance fits under the cap.
     assert clause_count(124, 6, Kind.STRONG, symmetry=True) == 479_510 <= MAX_CNF_CLAUSES
     # Refused from the closed form, before any clause is built.
-    monkeypatch.setattr("gskit.cli.write_dimacs", None)
+    monkeypatch.setattr("gskit.satgen.write_dimacs", None)
     assert invoke(["cnf", "encode", "--n", "100000", "--r", "50", "--symmetry"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
