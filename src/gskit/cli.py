@@ -240,11 +240,20 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+# Most colors search takes.  Every node on the search path holds one forbid
+# mask per color, so memory grows with r times the path length: r = 64 at
+# depth 1,000 peaks near 22 MB, while r = 12,303 there took 2 GB.  An
+# exhaustive answer is within reach only for r of about 10 and below.
+MAX_SEARCH_R = 64
+
+
 def cmd_search(args) -> int:
     from .search import SearchConfig, SearchMode, max_order, report_json, run_search
 
     if args.r < 1:
         raise UsageError("--r must be at least 1")
+    if args.r > MAX_SEARCH_R:
+        raise UsageError(f"--r {args.r} is above the cap of {MAX_SEARCH_R}")
     kind = Kind.from_name(args.kind)
     workers = args.workers if args.workers is not None else _default_workers()
     if args.max_order and (args.n is not None or args.enumerate):

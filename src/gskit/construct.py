@@ -22,11 +22,10 @@ whose order is given in closed form by `gs_number`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .core import Coloring, Kind
+from .core import Coloring, Kind, Record, _set
 
 
 class MappingTag(Enum):
@@ -44,13 +43,15 @@ class PatternError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class GsFunctionValue:
+class GsFunctionValue(Record):
     """The Gallai-Schur number GS(r) or WGS(r); one above the maximal order."""
 
-    r: int
-    kind: Kind
-    value: int
+    __slots__ = ("r", "kind", "value")
+
+    def __init__(self, r: int, kind: Kind, value: int):
+        _set(self, "r", r)
+        _set(self, "kind", kind)
+        _set(self, "value", value)
 
 
 def two_fold(p: Coloring) -> Coloring:
@@ -59,9 +60,8 @@ def two_fold(p: Coloring) -> Coloring:
     Odd positions get color 1; even position 2k gets the color of k plus
     one.  Canonical inputs give canonical outputs.
     """
-    out = []
-    for x in range(1, 2 * p.n + 2):
-        out.append(1 if x % 2 == 1 else p.color_of(x // 2) + 1)
+    out = [1] * (2 * p.n + 1)
+    out[1::2] = [v + 1 for v in p.colors]
     return Coloring(n=2 * p.n + 1, r=p.r + 1, colors=tuple(out))
 
 
@@ -72,15 +72,8 @@ def five_fold(p: Coloring) -> Coloring:
     position 5k gets the color of k plus two.  Canonical inputs give
     canonical outputs.
     """
-    out = []
-    for x in range(1, 5 * p.n + 5):
-        m = x % 5
-        if m in (1, 4):
-            out.append(1)
-        elif m in (2, 3):
-            out.append(2)
-        else:
-            out.append(p.color_of(x // 5) + 2)
+    out = [1, 2, 2, 1, 0] * p.n + [1, 2, 2, 1]
+    out[4::5] = [v + 2 for v in p.colors]
     return Coloring(n=5 * p.n + 4, r=p.r + 2, colors=tuple(out))
 
 
@@ -92,19 +85,23 @@ def inverse_two_fold(q: Coloring) -> Coloring:
     """
     if q.n % 2 == 0:
         raise PatternError(f"order {q.n} is even; a two-fold image has odd order")
-    for x in range(1, q.n + 1):
-        v = q.color_of(x)
-        if x % 2 == 1 and v != 1:
-            raise PatternError(
-                f"position {x} is odd but has color {v}, expected 1", position=x
-            )
-        if x % 2 == 0 and v == 1:
-            raise PatternError(
-                f"position {x} is even but has color 1", position=x
-            )
+    odd, even = q.colors[0::2], q.colors[1::2]
+    if odd.count(1) != len(odd) or 1 in even:
+        # Only here, once the whole-sequence check has failed, is the
+        # offending position looked for.
+        for x in range(1, q.n + 1):
+            v = q.color_of(x)
+            if x % 2 == 1 and v != 1:
+                raise PatternError(
+                    f"position {x} is odd but has color {v}, expected 1", position=x
+                )
+            if x % 2 == 0 and v == 1:
+                raise PatternError(
+                    f"position {x} is even but has color 1", position=x
+                )
     if q.r < 2 or q.n < 3:
         raise PatternError("a two-fold image has at least 2 colors and order >= 3")
-    colors = tuple(q.color_of(2 * k) - 1 for k in range(1, (q.n - 1) // 2 + 1))
+    colors = tuple([v - 1 for v in even])
     return Coloring(n=(q.n - 1) // 2, r=q.r - 1, colors=colors)
 
 
@@ -119,28 +116,38 @@ def inverse_five_fold(q: Coloring) -> Coloring:
         raise PatternError(
             f"order {q.n} is not congruent 4 mod 5, so not a five-fold image"
         )
-    for x in range(1, q.n + 1):
-        v = q.color_of(x)
-        m = x % 5
-        if m in (1, 4):
-            if v != 1:
+    # Residues 1, 2, 3 and 4 mod 5 each have (n + 1) / 5 positions.
+    size = (q.n + 1) // 5
+    image = q.colors[4::5]
+    if (
+        any(q.colors[i::5].count(v) != size for i, v in ((0, 1), (1, 2), (2, 2), (3, 1)))
+        or 1 in image
+        or 2 in image
+    ):
+        # Only here, once the whole-sequence check has failed, is the
+        # offending position looked for.
+        for x in range(1, q.n + 1):
+            v = q.color_of(x)
+            m = x % 5
+            if m in (1, 4):
+                if v != 1:
+                    raise PatternError(
+                        f"position {x} has color {v}, expected 1 (residue {m} mod 5)",
+                        position=x,
+                    )
+            elif m in (2, 3):
+                if v != 2:
+                    raise PatternError(
+                        f"position {x} has color {v}, expected 2 (residue {m} mod 5)",
+                        position=x,
+                    )
+            elif v in (1, 2):
                 raise PatternError(
-                    f"position {x} has color {v}, expected 1 (residue {m} mod 5)",
-                    position=x,
+                    f"position {x} is a multiple of 5 but has color {v}", position=x
                 )
-        elif m in (2, 3):
-            if v != 2:
-                raise PatternError(
-                    f"position {x} has color {v}, expected 2 (residue {m} mod 5)",
-                    position=x,
-                )
-        elif v in (1, 2):
-            raise PatternError(
-                f"position {x} is a multiple of 5 but has color {v}", position=x
-            )
     if q.r < 3 or q.n < 9:
         raise PatternError("a five-fold image has at least 3 colors and order >= 9")
-    colors = tuple(q.color_of(5 * k) - 2 for k in range(1, (q.n - 4) // 5 + 1))
+    colors = tuple([v - 2 for v in image])
     return Coloring(n=(q.n - 4) // 5, r=q.r - 2, colors=colors)
 
 
@@ -172,13 +179,13 @@ def base_by_name(name: str) -> tuple[Kind, Coloring]:
         known = ", ".join(BASE_CATALOGUE)
         raise ValueError(f"unknown base {name!r}; known bases: {known}")
     kind, compact = BASE_CATALOGUE[key]
-    return kind, Coloring.from_colors(int(ch) for ch in compact)
+    return kind, Coloring.from_colors(map(int, compact))
 
 
 def base_partitions(kind: Kind) -> list[Coloring]:
     """The catalogued maximal partitions with at most three colors."""
     return [
-        Coloring.from_colors(int(ch) for ch in compact)
+        Coloring.from_colors(map(int, compact))
         for k, compact in BASE_CATALOGUE.values()
         if k is kind
     ]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -53,6 +52,47 @@ class ViolationClass(Enum):
     BAD_COLOR_RANGE = "BadColorRange"
 
 
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the immutable value types (colorings, verdicts, reports).
+
+    A subclass names its fields, in constructor order, as `__slots__` and
+    stores them in its own `__init__` with `object.__setattr__`.  The base
+    gives what a frozen dataclass would: equality by type and fields, the
+    hash of the field tuple, the `Name(field=value, ...)` repr, assignment
+    and deletion raising AttributeError, and pickling through the
+    constructor (the process pool needs it).
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
 class ParseError(ValueError):
     """Malformed partition text; `position` is the 1-based offending spot."""
 
@@ -61,8 +101,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """A total coloring of [1, n] with colors drawn from [1, r].
 
     `colors[i - 1]` is the color of integer i.  Entries are validated to be
@@ -71,19 +110,20 @@ class Coloring:
     BadColorRange violation rather than rejected here.
     """
 
-    n: int
-    r: int
-    colors: tuple[int, ...]
+    __slots__ = ("n", "r", "colors")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"order must be positive, got {self.n}")
-        if self.r < 1:
-            raise ValueError(f"color count must be positive, got {self.r}")
-        if len(self.colors) != self.n:
-            raise ValueError(f"expected {self.n} entries, got {len(self.colors)}")
-        if any(v < 1 for v in self.colors):
+    def __init__(self, n: int, r: int, colors: tuple[int, ...]):
+        if n < 1:
+            raise ValueError(f"order must be positive, got {n}")
+        if r < 1:
+            raise ValueError(f"color count must be positive, got {r}")
+        if len(colors) != n:
+            raise ValueError(f"expected {n} entries, got {len(colors)}")
+        if min(colors) < 1:
             raise ValueError("color entries must be >= 1")
+        _set(self, "n", n)
+        _set(self, "r", r)
+        _set(self, "colors", colors)
 
     @classmethod
     def from_colors(cls, colors) -> Coloring:
@@ -96,19 +136,18 @@ class Coloring:
 
     def compact(self) -> str:
         """Digit-string form; only defined while every entry is a single digit."""
-        if any(v > 9 for v in self.colors):
+        if max(self.colors) > 9:
             raise ValueError("compact form requires all colors <= 9")
-        return "".join(str(v) for v in self.colors)
+        return _join_decimal(self.colors, "")
 
     def __str__(self) -> str:
         try:
             return self.compact()
         except ValueError:
-            return " ".join(str(v) for v in self.colors)
+            return _join_decimal(self.colors, " ")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """A witness against the partition property.
 
     For the two sum classes, `triple` holds (a, b, c) with a + b = c and
@@ -116,9 +155,17 @@ class Violation:
     BAD_COLOR_RANGE carries the out-of-range color value.
     """
 
-    category: ViolationClass
-    triple: tuple[int, int, int] | None = None
-    color: int | None = None
+    __slots__ = ("category", "triple", "color")
+
+    def __init__(
+        self,
+        category: ViolationClass,
+        triple: tuple[int, int, int] | None = None,
+        color: int | None = None,
+    ):
+        _set(self, "category", category)
+        _set(self, "triple", triple)
+        _set(self, "color", color)
 
     def describe(self) -> str:
         if self.category is ViolationClass.MONOCHROMATIC_SUM:
@@ -130,14 +177,14 @@ class Violation:
         return f"color {self.color} out of range"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    violations: tuple[Violation, ...]
+class Verdict(Record):
+    __slots__ = ("ok", "violations")
 
-    def __post_init__(self):
-        if self.ok != (len(self.violations) == 0):
+    def __init__(self, ok: bool, violations: tuple[Violation, ...]):
+        if ok != (len(violations) == 0):
             raise ValueError("ok must hold exactly when there are no violations")
+        _set(self, "ok", ok)
+        _set(self, "violations", violations)
 
 
 _FILE_HEADER = re.compile(r"^gspartition v1 kind=(strong|weak) r=([0-9]+) n=([0-9]+)$")
@@ -173,13 +220,15 @@ def _parse_compact(text: str) -> Coloring:
         line = line[:-1]
     if not line:
         raise ParseError("empty input", position=1)
-    colors = []
-    for pos, ch in enumerate(line, start=1):
-        if not ch.isdigit():
-            raise ParseError(f"invalid character {ch!r} at position {pos}", position=pos)
-        if ch == "0":
-            raise ParseError(f"color 0 at position {pos}; colors start at 1", position=pos)
-        colors.append(int(ch))
+    colors = _positive_decimals(line)
+    if colors is None:
+        # Only once the whole-line check has failed is the offending
+        # position looked for.
+        for pos, ch in enumerate(line, start=1):
+            if not "0" <= ch <= "9":
+                raise ParseError(f"invalid character {ch!r} at position {pos}", position=pos)
+            if ch == "0":
+                raise ParseError(f"color 0 at position {pos}; colors start at 1", position=pos)
     return Coloring.from_colors(colors)
 
 
@@ -205,22 +254,46 @@ def _parse_file_form(text: str) -> tuple[Coloring, Kind]:
     tokens = lines[1].split(" ")
     if len(tokens) != n:
         raise ParseError(f"expected {n} entries, got {len(tokens)}", position=2)
-    colors = []
-    for pos, tok in enumerate(tokens, start=1):
-        if not tok.isdigit():
-            raise ParseError(f"entry {pos} is not a decimal number: {tok!r}", position=pos)
-        v = int(tok)
-        if v < 1:
-            raise ParseError(f"entry {pos} is 0; colors start at 1", position=pos)
-        colors.append(v)
-    return Coloring(n=n, r=r, colors=tuple(colors)), kind
+    colors = _positive_decimals(tokens)
+    if colors is None:
+        # Only once the whole-line check has failed is the offending
+        # entry looked for.
+        for pos, tok in enumerate(tokens, start=1):
+            if not (tok.isascii() and tok.isdigit()):
+                raise ParseError(f"entry {pos} is not a decimal number: {tok!r}", position=pos)
+            if int(tok) < 1:
+                raise ParseError(f"entry {pos} is 0; colors start at 1", position=pos)
+    return Coloring(n=n, r=r, colors=colors), kind
+
+
+def _positive_decimals(tokens) -> tuple[int, ...] | None:
+    """The tokens as ints when each is a positive ASCII decimal, else None.
+
+    Each distinct token is checked and converted once.
+    """
+    distinct = set(tokens)
+    if not all(t.isascii() and t.isdigit() for t in distinct):
+        return None
+    try:
+        values = {t: int(t) for t in distinct}
+    except ValueError:  # too many digits to convert
+        return None
+    if min(values.values()) < 1:
+        return None
+    return tuple(map(values.__getitem__, tokens))
+
+
+def _join_decimal(colors, sep: str) -> str:
+    """Colors as decimal text joined by `sep`, formatting each distinct one once."""
+    text = {v: str(v) for v in set(colors)}
+    return sep.join(map(text.__getitem__, colors))
 
 
 def to_file_form(c: Coloring, kind: Kind) -> str:
     """Bit-exact explicit file form (header, entries, trailing newline)."""
     return (
         f"gspartition v1 kind={kind.value} r={c.r} n={c.n}\n"
-        + " ".join(str(v) for v in c.colors)
+        + _join_decimal(c.colors, " ")
         + "\n"
     )
 
@@ -241,10 +314,11 @@ def check_partition(c: Coloring, kind: Kind, exhaustive: bool = False) -> Verdic
     """
     violations: list[Violation] = []
 
-    for bad in sorted({v for v in c.colors if v > c.r}):
-        violations.append(Violation(ViolationClass.BAD_COLOR_RANGE, color=bad))
-        if not exhaustive:
-            return Verdict(ok=False, violations=tuple(violations))
+    if max(c.colors) > c.r:
+        for bad in sorted({v for v in c.colors if v > c.r}):
+            violations.append(Violation(ViolationClass.BAD_COLOR_RANGE, color=bad))
+            if not exhaustive:
+                return Verdict(ok=False, violations=tuple(violations))
 
     strong = kind is Kind.STRONG
     chi = (0,) + c.colors  # 1-indexed access
@@ -360,24 +434,20 @@ def canonicalize(c: Coloring) -> Coloring:
     The relabeling is the unique bijection on [1, r] mapping the i-th color
     to appear to label i; colors that never occur keep their relative order
     after the occurring ones.  Idempotent, and the verifier's verdict is
-    invariant under it.
+    invariant under it.  A coloring that is already canonical is returned
+    as it is.
     """
-    if any(v > c.r for v in c.colors):
+    order = list(dict.fromkeys(c.colors))  # first occurrences, in order
+    if max(order) > c.r:
         raise ValueError("cannot canonicalize a coloring with out-of-range entries")
-    mapping: dict[int, int] = {}
-    for v in c.colors:
-        if v not in mapping:
-            mapping[v] = len(mapping) + 1
-    next_label = len(mapping) + 1
-    for v in range(1, c.r + 1):
-        if v not in mapping:
-            mapping[v] = next_label
-            next_label += 1
-    return Coloring(n=c.n, r=c.r, colors=tuple(mapping[v] for v in c.colors))
+    if order == list(range(1, len(order) + 1)):
+        return c
+    label = {v: i for i, v in enumerate(order, start=1)}
+    return Coloring(n=c.n, r=c.r, colors=tuple(map(label.__getitem__, c.colors)))
 
 
 def is_canonical(c: Coloring) -> bool:
-    return canonicalize(c) == c
+    return canonicalize(c) is c
 
 
 def color_classes(c: Coloring) -> list[set[int]]:

@@ -29,41 +29,52 @@ them back into a `CnfDocument` for library callers and the tests.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import TextIO
 
-from .core import Coloring, Kind
+from .core import Coloring, Kind, Record, _set
 
 
-@dataclass
-class CnfDocument:
+class CnfDocument(Record):
     """A CNF instance plus the bookkeeping to interpret it.
 
     `labels` tags each clause with its class letter so censuses and
     debugging stay exact; `varmap` maps (v, i) to the variable index.
+    Its list and dict fields make it unhashable.
     """
 
-    n: int
-    r: int
-    kind: Kind
-    symmetry: bool
-    num_vars: int
-    clauses: list[list[int]]
-    labels: list[str]
-    varmap: dict[tuple[int, int], int]
+    __slots__ = ("n", "r", "kind", "symmetry", "num_vars", "clauses", "labels", "varmap")
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.num_vars != self.n * self.r:
+    def __init__(
+        self,
+        n: int,
+        r: int,
+        kind: Kind,
+        symmetry: bool,
+        num_vars: int,
+        clauses: list[list[int]],
+        labels: list[str],
+        varmap: dict[tuple[int, int], int],
+    ):
+        if num_vars != n * r:
             raise ValueError("num_vars must equal n * r")
-        if len(self.labels) != len(self.clauses):
+        if len(labels) != len(clauses):
             raise ValueError("labels and clauses must align")
-        for clause in self.clauses:
+        for clause in clauses:
             if not clause:
                 raise ValueError("empty clause")
-            if any(lit == 0 or abs(lit) > self.num_vars for lit in clause):
+            if any(lit == 0 or abs(lit) > num_vars for lit in clause):
                 raise ValueError("literal out of range")
-        if sorted(self.varmap.values()) != list(range(1, self.num_vars + 1)):
+        if sorted(varmap.values()) != list(range(1, num_vars + 1)):
             raise ValueError("varmap must cover variable indices exactly once")
+        _set(self, "n", n)
+        _set(self, "r", r)
+        _set(self, "kind", kind)
+        _set(self, "symmetry", symmetry)
+        _set(self, "num_vars", num_vars)
+        _set(self, "clauses", clauses)
+        _set(self, "labels", labels)
+        _set(self, "varmap", varmap)
 
 
 def var_index(v: int, i: int, r: int) -> int:

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from enum import Enum
 
-from .core import Coloring, Kind
+from .core import Coloring, Kind, Record, _set
 from .construct import gs_number
 
 
@@ -40,49 +39,61 @@ class SearchMode(Enum):
     ENUMERATE_ALL = "enumerate-all"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Record):
     """Parameters of one search: what to look for and how hard to try.
 
     Budgets are optional; exceeding one marks the report unexhausted
     instead of raising.
     """
 
-    kind: Kind
-    r: int
-    n: int
-    mode: SearchMode = SearchMode.FIRST_WITNESS
-    node_budget: int | None = None
-    wall_budget: float | None = None
+    __slots__ = ("kind", "r", "n", "mode", "node_budget", "wall_budget")
 
-    def __post_init__(self):
-        if self.r < 1 or self.n < 1:
+    def __init__(
+        self,
+        kind: Kind,
+        r: int,
+        n: int,
+        mode: SearchMode = SearchMode.FIRST_WITNESS,
+        node_budget: int | None = None,
+        wall_budget: float | None = None,
+    ):
+        if r < 1 or n < 1:
             raise ValueError("r and n must be positive")
-        if self.node_budget is not None and self.node_budget < 1:
+        if node_budget is not None and node_budget < 1:
             raise ValueError("node budget must be positive")
-        if self.wall_budget is not None and self.wall_budget <= 0:
+        if wall_budget is not None and wall_budget <= 0:
             raise ValueError("wall budget must be positive")
+        _set(self, "kind", kind)
+        _set(self, "r", r)
+        _set(self, "n", n)
+        _set(self, "mode", mode)
+        _set(self, "node_budget", node_budget)
+        _set(self, "wall_budget", wall_budget)
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Record):
     """Witnesses found, nodes entered, and whether the tree was finished.
 
     `exhausted` is True only when the whole (sub)tree was searched within
     budget; a first-witness run that stops at its witness reports False.
     """
 
-    witnesses: tuple[Coloring, ...]
-    nodes_explored: int
-    exhausted: bool
+    __slots__ = ("witnesses", "nodes_explored", "exhausted")
+
+    def __init__(self, witnesses: tuple[Coloring, ...], nodes_explored: int, exhausted: bool):
+        _set(self, "witnesses", witnesses)
+        _set(self, "nodes_explored", nodes_explored)
+        _set(self, "exhausted", exhausted)
 
 
-@dataclass(frozen=True)
-class SubtreeTask:
+class SubtreeTask(Record):
     """One independently searchable subtree: a config plus a valid prefix."""
 
-    config: SearchConfig
-    prefix: tuple[int, ...]
+    __slots__ = ("config", "prefix")
+
+    def __init__(self, config: SearchConfig, prefix: tuple[int, ...]):
+        _set(self, "config", config)
+        _set(self, "prefix", prefix)
 
 
 class PartialResultError(RuntimeError):
@@ -116,28 +127,32 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
     wall_budget = cfg.wall_budget
     deadline = None if wall_budget is None else time.monotonic() + wall_budget
 
-    # members[k] is color k's class.  A forbid list has bit c of entry k
-    # set when some a + b = c with a, b already placed rules color k out
-    # at c: a and b in class k (monochromatic), or in two distinct classes
-    # other than k (rainbow; this part is E_k).  Each node on the path owns
-    # its forbid list, so backtracking only clears one member bit.  Index 0
-    # is unused.
-    members = [0] * (r + 1)
+    # members[k - 1] is color k's class, bit x set for each member x.  At
+    # the node that colors position pos, entry k - 1 of its forbid list has
+    # bit j set when some a + b = pos + j with a, b already placed rules
+    # color k out at pos + j: a and b in class k (monochromatic), or in two
+    # distinct classes other than k (rainbow; this part is E_k).  Bit 0 is
+    # pos itself, so a probe is `f & 1` and a child shifts each mask down
+    # one.  Each node on the path owns its forbid list, so backtracking
+    # only clears one member bit.
+    members = [0] * r
 
     def place(pos: int, color: int, forbid: list[int]) -> list[int]:
-        cls = members[color]
-        # pos plus a member of class j != color is a rainbow sum for every
-        # third color k.
+        k = color - 1
+        cls = members[k]
+        # pos plus a member a of class j != color is a rainbow sum, at
+        # offset a from pos, for every third color.  The classes are
+        # disjoint, so `others ^ m` is `others` without class m.
         others = ((1 << pos) - 2) ^ cls
-        nxt = [f | (others & ~m) << pos for f, m in zip(forbid, members)]
-        nxt[color] = forbid[color] | cls << pos | (1 << 2 * pos if strong else 0)
-        members[color] = cls | 1 << pos
+        nxt = [(f | others ^ m) >> 1 for f, m in zip(forbid, members)]
+        nxt[k] = (forbid[k] | cls | (1 << pos if strong else 0)) >> 1
+        members[k] = cls | 1 << pos
         return nxt
 
-    forbid = [0] * (r + 1)
+    forbid = [0] * r
     maxused = 0
     for pos, color in enumerate(prefix, start=1):
-        if not 1 <= color <= min(maxused + 1, r) or forbid[color] >> pos & 1:
+        if not 1 <= color <= min(maxused + 1, r) or forbid[color - 1] & 1:
             raise ValueError(f"prefix is not a reachable search state at position {pos}")
         forbid = place(pos, color, forbid)
         maxused = max(maxused, color)
@@ -175,7 +190,7 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
                 top = 0
         forbid = forbid_stack[-1]
         color += 1
-        while color <= top and forbid[color] >> pos & 1:
+        while color <= top and forbid[color - 1] & 1:
             color += 1
         if color <= top:
             if node_budget is not None and nodes >= node_budget:
@@ -198,7 +213,7 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
             color = path.pop()
             forbid_stack.pop()
             maxused_stack.pop()
-            members[color] ^= 1 << (pos - 1)
+            members[color - 1] ^= 1 << (pos - 1)
         else:
             break
 

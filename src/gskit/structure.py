@@ -18,10 +18,9 @@ the inverse mappings of `construct`; a PatternError from an inverse means
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .core import Coloring, Kind, check_partition, is_canonical
+from .core import Coloring, Kind, Record, _set, check_partition, is_canonical
 from .construct import (
     MappingTag,
     PatternError,
@@ -37,17 +36,19 @@ class StructureClass(Enum):
     BASE = "Base"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """A base coloring plus the construction chain rebuilding the original.
 
     `tags` lists the mappings innermost first, so replaying them in order
     onto `base` reproduces the decomposed coloring exactly.
     """
 
-    base: Coloring
-    tags: tuple[MappingTag, ...]
-    original_order: int
+    __slots__ = ("base", "tags", "original_order")
+
+    def __init__(self, base: Coloring, tags: tuple[MappingTag, ...], original_order: int):
+        _set(self, "base", base)
+        _set(self, "tags", tags)
+        _set(self, "original_order", original_order)
 
     def replay(self) -> Coloring:
         return apply_mappings(self.base, self.tags)

@@ -134,6 +134,40 @@ def naive_two_fold_preimage(colors: tuple[int, ...], r: int):
     return pre
 
 
+def naive_five_fold_break(colors: tuple[int, ...]):
+    """The first position breaking the five-fold image pattern, or None:
+    residues 1, 4 mod 5 need color 1, residues 2, 3 color 2, and a
+    multiple of 5 any color but 1 and 2."""
+    for x, v in enumerate(colors, start=1):
+        if x % 5 in (1, 4) and v != 1:
+            return x
+        if x % 5 in (2, 3) and v != 2:
+            return x
+        if x % 5 == 0 and v in (1, 2):
+            return x
+    return None
+
+
+def naive_two_fold_break(colors: tuple[int, ...]):
+    """The first position breaking the two-fold image pattern, or None:
+    odd positions need color 1 and even ones any other color."""
+    for x, v in enumerate(colors, start=1):
+        if (x % 2 == 1) != (v == 1):
+            return x
+    return None
+
+
+def naive_bad_entry(tokens):
+    """The first token that is not a positive ASCII decimal, as
+    (1-based position, "not a number" or "zero"), or None."""
+    for pos, tok in enumerate(tokens, start=1):
+        if tok == "" or any(ch not in "0123456789" for ch in tok):
+            return pos, "not a number"
+        if set(tok) == {"0"}:
+            return pos, "zero"
+    return None
+
+
 def scan_max_order(feasible, limit: int, streak: int) -> int:
     """Largest feasible order by the per-order upward scan: test n = 1, 2,
     ... up to `limit` and stop once the `streak` orders above the best so

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gskit.cli import MAX_CNF_CLAUSES, MAX_CONSTRUCT_ORDER, MAX_GS_R, main
+from gskit.cli import MAX_CNF_CLAUSES, MAX_CONSTRUCT_ORDER, MAX_GS_R, MAX_SEARCH_R, main
 from gskit.construct import five_fold, gs_number, two_fold
 from gskit.core import Kind, parse_coloring, parse_coloring_with_kind
 from gskit.satgen import clause_count, encode, to_dimacs
@@ -42,6 +42,22 @@ def test_verify_violation(capsys):
 def test_verify_bad_input(capsys):
     assert invoke(["verify", "1x1", "--kind", "weak"]) == 2
     assert "position 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1٢٢1", "invalid character '٢' at position 2"),  # Arabic-Indic two
+    ("12²1", "invalid character '²' at position 3"),  # superscript two
+    ("gspartition v1 kind=weak r=2 n=4\n1 ٢ ٢ 1\n",
+     "entry 2 is not a decimal number: '٢'"),
+    ("gspartition v1 kind=weak r=2 n=4\n1 2 ² 1\n",
+     "entry 3 is not a decimal number: '²'"),
+])
+def test_verify_accepts_ascii_digits_only(capsys, monkeypatch, text, message):
+    # Other Unicode digits are refused at their position, in both forms.
+    assert invoke(["verify", "-"], monkeypatch, text) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
 
 
 def test_verify_all_witnesses(capsys):
@@ -293,6 +309,28 @@ def test_construct_decompose_roundtrip_via_pipe_text(capsys, monkeypatch):
             assert rebuilt == original
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("kind, r, base, tags", [
+    ("strong", 18, "1221", ["FiveFold"] * 8),
+    ("weak", 17, "11212221", ["TwoFold"] + ["FiveFold"] * 7),
+])
+def test_largest_orders_roundtrip(capsys, monkeypatch, kind, r, base, tags):
+    # The largest maximal partitions construct accepts: n = 1,953,124 and
+    # 1,406,249.  Deselected by default; run with `pytest -m slow`.
+    assert invoke(["construct", "--maximal", str(r), "--kind", kind]) == 0
+    produced = capsys.readouterr().out
+    assert invoke(["decompose", "-"], monkeypatch, produced) == 0
+    captured = capsys.readouterr()
+    assert captured == (f"base={base} tags={','.join(tags)}\n", "")
+    rebuilt = parse_coloring(base)
+    for step in tags:
+        rebuilt = two_fold(rebuilt) if step == "TwoFold" else five_fold(rebuilt)
+    original, declared = parse_coloring_with_kind(produced)
+    assert declared is Kind(kind)
+    assert (rebuilt.n, rebuilt.r) == (gs_number(r, Kind(kind)).value - 1, r)
+    assert rebuilt == original
+
+
 def test_search_existence(capsys):
     assert invoke(["search", "--r", "2", "--n", "4"]) == 0
     assert capsys.readouterr().out == "1221\n"
@@ -353,6 +391,23 @@ def test_search_streak_must_be_positive(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: streak must be positive\n"
+
+
+def test_search_refuses_r_above_cap(capsys, monkeypatch):
+    # Refused before GS(r) is computed or a forbid mask is built.
+    monkeypatch.setattr("gskit.cli.gs_number", None)
+    monkeypatch.setattr("gskit.search._explore", None)
+    for argv in (["--max-order", "--budget", "1000"], ["--n", "100", "--json"],
+                 ["--enumerate"]):
+        for r in (MAX_SEARCH_R + 1, 12303, 30000):
+            assert invoke(["search", "--r", str(r), *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --r {r} is above the cap of {MAX_SEARCH_R}\n"
+    monkeypatch.undo()
+    # At the cap the search runs: 64 colors do not fit in 63 positions.
+    assert invoke(["search", "--r", str(MAX_SEARCH_R), "--n", str(MAX_SEARCH_R - 1)]) == 1
+    assert capsys.readouterr().out == "infeasible\n"
 
 
 def test_search_flag_conflicts(capsys):

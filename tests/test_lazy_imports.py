@@ -52,6 +52,20 @@ def test_commands_load_only_their_layers(argv):
     assert ("gskit.structure" in loaded) == (argv[0] == "decompose")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "1221"],
+    ["construct", "--maximal", "4"],
+    ["decompose", "1221"],
+    ["search", "--r", "3", "--n", "13"],
+])
+def test_commands_load_neither_dataclasses_nor_inspect(argv):
+    # The value records are plain classes, so no command pays for
+    # dataclasses and the inspect module it imports.
+    code, loaded = _footprint(argv)
+    assert code == (1 if argv[0] == "search" else 0)  # no 3-color partition of [1, 13]
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_sequential_search_leaves_out_the_process_pool():
     code, loaded = _footprint(
         ["search", "--kind", "weak", "--r", "4", "--n", "12", "--enumerate", "--workers", "1"]

@@ -100,7 +100,7 @@ def test_streak_is_validated_by_max_order_not_config():
         max_order(Kind.STRONG, 2, 7, streak=0)
     with pytest.raises(ValueError, match="streak must be positive"):
         enumerate_maximal(Kind.STRONG, 2, streak=0)
-    assert "streak" not in SearchConfig.__dataclass_fields__
+    assert "streak" not in SearchConfig.__slots__
 
 
 def test_max_order_matches_per_order_scan():
