@@ -15,7 +15,6 @@ the explicit `gspartition v1` form, whose declared kind is used when
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -93,6 +92,13 @@ def _default_workers() -> int:
     return workers
 
 
+def _print_json(doc: dict):
+    # json is imported only by the commands that print it.
+    import json
+
+    print(json.dumps(doc))
+
+
 def _print_coloring(c: Coloring, kind: Kind):
     """Compact digit string when possible, explicit file form otherwise."""
     if c.r <= 9:
@@ -121,7 +127,7 @@ def cmd_verify(args) -> int:
                 for v in verdict.violations
             ],
         }
-        print(json.dumps(doc))
+        _print_json(doc)
     elif verdict.ok:
         print("ok")
     else:
@@ -149,7 +155,7 @@ def cmd_table(args) -> int:
             "kind": kind.value,
             "rows": [{"r": row.r, "value": row.value} for row in rows],
         }
-        print(json.dumps(doc))
+        _print_json(doc)
     else:
         for row in rows:
             print(f"{row.r}\t{row.value}")
@@ -214,7 +220,7 @@ def cmd_construct(args) -> int:
             "n": current.n,
             "coloring": str(current),
         }
-        print(json.dumps(doc))
+        _print_json(doc)
     else:
         _print_coloring(current, kind)
     return 0
@@ -234,16 +240,17 @@ def cmd_decompose(args) -> int:
             "tags": [t.value for t in dec.tags],
             "original_order": dec.original_order,
         }
-        print(json.dumps(doc))
+        _print_json(doc)
     else:
         print(f"base={dec.base} tags={','.join(t.value for t in dec.tags)}")
     return 0
 
 
-# Most colors search takes.  Every node on the search path holds one forbid
-# mask per color, so memory grows with r times the path length: r = 64 at
-# depth 1,000 peaks near 22 MB, while r = 12,303 there took 2 GB.  An
-# exhaustive answer is within reach only for r of about 10 and below.
+# Most colors search takes.  Each node builds one forbid mask per color,
+# and every branch point on the search path keeps its list, so time per
+# node grows with r times the depth: r = 64 with --budget 100,000 takes
+# about 10 s and peaks near 20 MB.  An exhaustive answer is within reach
+# only for r of about 10 and below.
 MAX_SEARCH_R = 64
 
 
@@ -287,7 +294,7 @@ def cmd_search(args) -> int:
                     "m_max": m_max,
                     "confirmed": confirmed,
                 }
-                print(json.dumps(doc))
+                _print_json(doc)
             else:
                 state = "confirmed" if confirmed else "unconfirmed"
                 print(f"m_max {m_max} {state} (streak {args.streak})")

@@ -16,17 +16,22 @@ E_k, the sums a + b with a and b in two distinct classes other than k.
 Testing a candidate color at position c is then one bit probe, and
 placing a color updates each color's mask once.
 
+The search is one loop over an explicit stack that holds only branch
+points, the nodes with an allowed color not yet tried.  Most nodes allow
+exactly one color; they get no stack entry, and a dead end returns to the
+last branch point in one step.
+
 The sequential depth-first order is the reference semantics.  A run can be
 split into independent subtree tasks below a fixed prefix depth; merging
 task results in prefix order reproduces the sequential report exactly, so
-worker count and scheduling never change the output.  Node and wall-clock
-budgets are enforced per execution unit (the whole run when sequential,
-each subtree task when split); first-witness runs are always sequential.
+worker count and scheduling never change the output.  Split tasks run on
+child processes started with `os.fork` (see `gskit.pool`).  Runs with a
+budget, first-witness runs, runs on one worker or one CPU, and runs where
+`os.fork` is missing are sequential and never split.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from enum import Enum
 
@@ -111,14 +116,14 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
     """Depth-first engine behind every search entry point.
 
     Replays `prefix` (validating it), then explores below it with a loop
-    over an explicit stack, one entry per placed position, so orders in
-    the thousands need no recursion.  With `stop_depth` set, descent stops
-    there and the valid assignments of that length are collected as the
-    frontier instead of being expanded.  Returns (witnesses, nodes,
-    exhausted, frontier, deepest): nodes counts accepted assignments
-    strictly below the prefix, and deepest is the largest position
-    assigned while all r colors are in use, i.e. the largest order up to
-    n that the explored part of the tree shows feasible.
+    over an explicit stack of branch points, so orders in the thousands
+    need no recursion.  With `stop_depth` set, descent stops there and the
+    valid assignments of that length are collected as the frontier
+    instead of being expanded.  Returns (witnesses, nodes, exhausted,
+    frontier, deepest): nodes counts accepted assignments strictly below
+    the prefix, and deepest is the largest position assigned while all r
+    colors are in use, i.e. the largest order up to n that the explored
+    part of the tree shows feasible.
     """
     n, r = cfg.n, cfg.r
     strong = cfg.kind is Kind.STRONG
@@ -133,8 +138,8 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
     # color k out at pos + j: a and b in class k (monochromatic), or in two
     # distinct classes other than k (rainbow; this part is E_k).  Bit 0 is
     # pos itself, so a probe is `f & 1` and a child shifts each mask down
-    # one.  Each node on the path owns its forbid list, so backtracking
-    # only clears one member bit.
+    # one.  Placing a color builds the child's forbid list and leaves the
+    # parent's untouched.
     members = [0] * r
 
     def place(pos: int, color: int, forbid: list[int]) -> list[int]:
@@ -164,58 +169,68 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
     aborted = False
     stopped_at_witness = False
 
-    # The explicit stack: the colors placed at 1 .. pos - 1, and per node
-    # on that path its forbid list and colors in use.  `color` is the last
-    # color tried at the current node, 0 on entering it.
+    # `path` holds the colors placed at 1 .. pos - 1, and (forbid, maxused)
+    # the state of the node at pos.  Most nodes allow one color only, so
+    # the stack keeps just the branch points: nodes with an allowed color
+    # not yet tried, as [pos, that color, forbid, maxused, members].  A
+    # dead end resumes the last one, which restores its state at once and
+    # drops the forced placements below it from `path`.
     path = list(prefix)
-    forbid_stack = [forbid]
-    maxused_stack = [maxused]
-    color = 0
+    pos = len(path) + 1
+    stack: list[list] = []
     while True:
-        pos = len(path) + 1
-        maxused = maxused_stack[-1]
         top = maxused + 1 if maxused < r else r
-        if color == 0:
-            if stop_depth is not None and pos > stop_depth:
-                frontier.append(tuple(path))
-                top = 0
-            elif pos > n:
-                if maxused == r:
-                    witnesses.append(tuple(path))
-                    if first_witness:
-                        stopped_at_witness = True
-                        break
-                top = 0
-            elif r - maxused > n - pos + 1:
-                top = 0
-        forbid = forbid_stack[-1]
-        color += 1
+        if stop_depth is not None and pos > stop_depth:
+            frontier.append(tuple(path))
+            top = 0
+        elif pos > n:
+            if maxused == r:
+                witnesses.append(tuple(path))
+                if first_witness:
+                    stopped_at_witness = True
+                    break
+            top = 0
+        elif r - maxused > n - pos + 1:
+            top = 0
+        color = 1
         while color <= top and forbid[color - 1] & 1:
             color += 1
         if color <= top:
-            if node_budget is not None and nodes >= node_budget:
-                aborted = True
-                break
-            nodes += 1
-            if deadline is not None and nodes % _WALL_CHECK_INTERVAL == 0:
-                if time.monotonic() > deadline:
-                    aborted = True
-                    break
-            forbid_stack.append(place(pos, color, forbid))
-            path.append(color)
-            if color > maxused:
-                maxused = color
-            if maxused == r and pos > deepest:
-                deepest = pos
-            maxused_stack.append(maxused)
-            color = 0
-        elif len(path) > len(prefix):
-            color = path.pop()
-            forbid_stack.pop()
-            maxused_stack.pop()
-            members[color - 1] ^= 1 << (pos - 1)
+            nxt = color + 1
+            while nxt <= top and forbid[nxt - 1] & 1:
+                nxt += 1
+            if nxt <= top:
+                stack.append([pos, nxt, forbid, maxused, tuple(members)])
+        elif stack:
+            branch = stack[-1]
+            pos, color, forbid, maxused, snapshot = branch
+            members[:] = snapshot
+            del path[pos - 1 :]
+            top = maxused + 1 if maxused < r else r
+            nxt = color + 1
+            while nxt <= top and forbid[nxt - 1] & 1:
+                nxt += 1
+            if nxt <= top:
+                branch[1] = nxt
+            else:
+                stack.pop()
         else:
             break
+        if node_budget is not None and nodes >= node_budget:
+            aborted = True
+            break
+        nodes += 1
+        if deadline is not None and nodes % _WALL_CHECK_INTERVAL == 0:
+            if time.monotonic() > deadline:
+                aborted = True
+                break
+        forbid = place(pos, color, forbid)
+        path.append(color)
+        if color > maxused:
+            maxused = color
+        if maxused == r and pos > deepest:
+            deepest = pos
+        pos += 1
 
     exhausted = not aborted and not stopped_at_witness
     return witnesses, nodes, exhausted, frontier, deepest
@@ -269,10 +284,12 @@ def _unbudgeted(cfg: SearchConfig) -> SearchConfig:
 
 def default_split_depth(cfg: SearchConfig) -> int:
     """Split depth used when the caller does not pick one; a pure function
-    of the config so that worker count never influences the report."""
+    of the config so that worker count never influences the report.  Deep
+    enough that no one subtree holds most of the work: on weak r = 8 at
+    n = 500 the largest of its 22 tasks has about 15% of the nodes."""
     if cfg.n < 12:
         return 0
-    return min(8, cfg.n // 3)
+    return min(32, cfg.n // 3)
 
 
 def run_search(
@@ -288,7 +305,10 @@ def run_search(
     its prefix).
 
     Budgeted runs also go sequential, so a node budget caps the total
-    explored rather than each subtree separately.
+    explored rather than each subtree separately.  So do runs on one
+    worker or one CPU, and runs where `os.fork` is missing or other
+    threads are running.  A split run starts at most min(workers, tasks,
+    CPUs) child processes.
     """
     if workers < 1:
         raise ValueError("worker count must be positive")
@@ -296,20 +316,29 @@ def run_search(
         return exists_partition(cfg)
     if cfg.node_budget is not None or cfg.wall_budget is not None:
         return exists_partition(cfg)
+    import os
+    import sys
+
+    procs = min(workers, os.cpu_count() or 1)
+    # A forked child gets a copy of every lock, but only the calling
+    # thread; with other threads running, one might hold a lock forever.
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
+        procs = 1
     depth = default_split_depth(cfg) if split_depth is None else split_depth
     depth = min(depth, cfg.n)
-    if depth == 0:
+    if procs == 1 or depth <= 0:
         return exists_partition(cfg)
 
-    _, shallow_nodes, _, frontier, _ = _explore(_unbudgeted(cfg), (), depth)
+    _, shallow_nodes, _, frontier, _ = _explore(cfg, (), depth)
     tasks = [SubtreeTask(config=cfg, prefix=p) for p in frontier]
-    if workers == 1 or len(tasks) <= 1:
-        results = [run_task(t) for t in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    procs = min(procs, len(tasks))
+    if procs > 1:
+        from .pool import run_forked
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(run_task, tasks))
+        results = run_forked(run_task, tasks, procs)
+    else:
+        results = [run_task(t) for t in tasks]
 
     witnesses: list[Coloring] = []
     nodes = shallow_nodes
@@ -409,6 +438,8 @@ def enumerate_maximal(
 
 def report_json(cfg: SearchConfig, report: SearchReport) -> str:
     """Stable JSON form of a search report (field order fixed)."""
+    import json
+
     doc = {
         "kind": cfg.kind.value,
         "r": cfg.r,

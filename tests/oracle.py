@@ -84,6 +84,24 @@ def naive_enumerate(kind: str, r: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def naive_search_tree(kind: str, r: int, n: int) -> list[tuple[int, ...]]:
+    """The nodes of the canonical search tree over [1, n], in depth-first
+    order: every nonempty canonical word of length at most n over r colors
+    that passes the naive check, except those whose parent already needed
+    more new colors than positions remain (r - max(parent) > n - len + 1).
+    Lexicographic order on tuples puts a word before its extensions, so
+    sorting the filtered product gives the depth-first order."""
+    out = []
+    for length in range(1, n + 1):
+        for colors in itertools.product(range(1, r + 1), repeat=length):
+            if not is_canonical_tuple(colors) or not naive_ok(colors, kind):
+                continue
+            if r - max(colors[:-1], default=0) > n - length + 1:
+                continue
+            out.append(colors)
+    return sorted(out)
+
+
 def naive_two_fold(colors: tuple[int, ...]) -> tuple[int, ...]:
     """The two-fold image by its position rule: odd x gets color 1, even
     x = 2k gets the color of k plus one."""

@@ -3,8 +3,8 @@ command imports only the layers it runs."""
 
 from __future__ import annotations
 
+import ast
 import importlib
-import json
 import subprocess
 import sys
 
@@ -13,28 +13,31 @@ import pytest
 import gskit
 
 # Runs gskit's CLI in a fresh interpreter and prints the exit code and the
-# modules imported after start-up (stdout of the command is discarded).
+# modules imported after start-up (stdout of the command is discarded).  The
+# harness prints with repr, so json counts when the command loads it.
 _FOOTPRINT = """
-import contextlib, io, json, sys
+import contextlib, io, os, sys
 before = set(sys.modules)
+if {cpus}:
+    os.cpu_count = lambda: {cpus}
 from gskit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(set(sys.modules) - before)]))
+print(repr([code, sorted(set(sys.modules) - before)]))
 """
 
-_HEAVY = {"gskit.search", "gskit.satgen", "concurrent.futures.process", "multiprocessing"}
+_HEAVY = {"gskit.search", "gskit.pool", "gskit.satgen", "concurrent.futures.process", "multiprocessing"}
 
 
-def _footprint(argv):
+def _footprint(argv, cpus=None):
     proc = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT, *argv],
+        [sys.executable, "-c", _FOOTPRINT.format(cpus=cpus), *argv],
         capture_output=True,
         text=True,
         check=True,
         timeout=120,
     )
-    code, modules = json.loads(proc.stdout)
+    code, modules = ast.literal_eval(proc.stdout)
     return code, set(modules)
 
 
@@ -72,7 +75,34 @@ def test_sequential_search_leaves_out_the_process_pool():
     )
     assert code == 0
     assert "gskit.search" in loaded
-    assert not loaded & {"concurrent.futures.process", "multiprocessing"}
+    assert not loaded & {"gskit.pool", "concurrent.futures.process", "multiprocessing"}
+
+
+def test_forked_search_loads_no_executor():
+    # Two workers fork their children directly (given two CPUs, which the
+    # harness reports here), with no concurrent.futures or multiprocessing.
+    code, loaded = _footprint(
+        ["search", "--kind", "weak", "--r", "4", "--n", "12", "--enumerate", "--workers", "2"],
+        cpus=2,
+    )
+    assert code == 0
+    assert {"gskit.search", "gskit.pool"} <= loaded
+    assert not loaded & {"concurrent.futures", "concurrent.futures.process", "multiprocessing"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "1221"],
+    ["table"],
+    ["construct", "--maximal", "4"],
+    ["decompose", "1221"],
+    ["search", "--r", "3", "--n", "13"],
+])
+def test_commands_without_json_flag_load_no_json(argv):
+    code, loaded = _footprint(argv)
+    assert code == (1 if argv[0] == "search" else 0)
+    assert "json" not in loaded
+    code, loaded = _footprint(argv + ["--json"])
+    assert "json" in loaded
 
 
 def test_package_import_loads_no_layer():

@@ -8,6 +8,8 @@ from gskit.construct import gs_number
 from gskit.core import Kind, check_partition, is_canonical
 from gskit.search import (
     PartialResultError,
+    SubtreeTask,
+    _explore,
     SearchConfig,
     SearchMode,
     SearchReport,
@@ -21,7 +23,7 @@ from gskit.search import (
     run_task,
 )
 
-from oracle import naive_enumerate, scan_max_order
+from oracle import naive_enumerate, naive_search_tree, scan_max_order
 
 
 def _cfg(kind, r, n, mode=SearchMode.FIRST_WITNESS, **kw):
@@ -210,8 +212,6 @@ def test_first_witness_ignores_worker_count():
 
 def test_run_task_rejects_bad_prefix():
     cfg = _cfg(Kind.STRONG, 2, 4, SearchMode.ENUMERATE_ALL)
-    from gskit.search import SubtreeTask
-
     with pytest.raises(ValueError):
         run_task(SubtreeTask(config=cfg, prefix=(2,)))  # violates symmetry order
     with pytest.raises(ValueError):
@@ -264,3 +264,86 @@ def test_maximal_partition_counts():
             assert check_partition(w, kind).ok
         rep = run_search(_cfg(kind, r, n + 1, SearchMode.ENUMERATE_ALL))
         assert rep.exhausted and rep.witnesses == (), (kind, r)
+
+
+# (kind, r, n, mode, node budget) -> (witnesses, nodes, exhausted, deepest),
+# as the engine before the branch-point stack reported them.
+_PINNED = [
+    (Kind.WEAK, 8, 500, SearchMode.ENUMERATE_ALL, None, (76, 31_118, True, 500)),
+    (Kind.STRONG, 8, 624, SearchMode.ENUMERATE_ALL, None, (1, 9_104, True, 624)),
+    (Kind.STRONG, 9, 1255, SearchMode.FIRST_WITNESS, None, (0, 31_401, True, 1_249)),
+    (Kind.WEAK, 8, 500, SearchMode.ENUMERATE_ALL, 10_000, (19, 10_000, False, 500)),
+]
+
+
+@pytest.mark.parametrize("kind, r, n, mode, budget, want", _PINNED)
+def test_engine_counts_are_pinned(kind, r, n, mode, budget, want):
+    witnesses, nodes, exhausted, frontier, deepest = _explore(
+        _cfg(kind, r, n, mode, node_budget=budget), (), None
+    )
+    assert (len(witnesses), nodes, exhausted, deepest) == want
+    assert frontier == []
+
+
+def _walk_oracle_tree(tree, r, n, mode, budget, stop_depth, prefix):
+    """What `_explore` returns, read off the oracle's depth-first node list:
+    the prefix's node first, then the nodes below it down to the stop
+    depth, each counted as it is entered until the budget is spent."""
+    below = [
+        p for p in tree
+        if len(p) > len(prefix) and p[: len(prefix)] == prefix
+        and (stop_depth is None or len(p) <= stop_depth)
+    ]
+    witnesses, frontier = [], []
+    nodes = deepest = 0
+    exhausted = True
+    for i, p in enumerate([prefix] + below):
+        if i:
+            if nodes == budget:
+                exhausted = False
+                break
+            nodes += 1
+            if max(p) == r:
+                deepest = max(deepest, len(p))
+        if stop_depth is not None and len(p) >= stop_depth:
+            frontier.append(p)
+        elif len(p) == n and max(p, default=0) == r:
+            witnesses.append(p)
+            if mode is SearchMode.FIRST_WITNESS:
+                exhausted = False
+                break
+    return witnesses, nodes, exhausted, frontier, deepest
+
+
+def test_engine_matches_naive_tree_walk():
+    # Budgets, stop depths and prefixes replayed from inside the tree.
+    for kind in (Kind.STRONG, Kind.WEAK):
+        for r in (1, 2, 3, 4):
+            for n in range(1, 9 if r == 4 else 10):
+                tree = naive_search_tree(kind.value, r, n)
+                prefixes = [()] + [p for p in tree if len(p) <= 3][:: 3]
+                for mode in SearchMode:
+                    for budget in (None, 1, 4, 25):
+                        cfg = _cfg(kind, r, n, mode, node_budget=budget)
+                        for stop_depth in (None, 0, 1, 3, 6):
+                            for prefix in prefixes:
+                                want = _walk_oracle_tree(
+                                    tree, r, n, mode, budget, stop_depth, prefix
+                                )
+                                got = _explore(cfg, prefix, stop_depth)
+                                assert got == want, (kind, r, n, mode, budget, stop_depth, prefix)
+
+
+def test_max_order_memory_stays_flat_at_64_colors():
+    # The engine keeps forbid lists only at branch points, not at every
+    # node of the path: 4,000 nodes at r = 64 once traced over 75 MB.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        m, confirmed = max_order(Kind.STRONG, 64, 10**6, node_budget=4_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (m, confirmed) == (0, False)
+    assert peak < 8 * 2**20
