@@ -249,7 +249,7 @@ def cmd_decompose(args) -> int:
 # Most colors search takes.  Each node builds one forbid mask per color,
 # and every branch point on the search path keeps its list, so time per
 # node grows with r times the depth: r = 64 with --budget 100,000 takes
-# about 10 s and peaks near 20 MB.  An exhaustive answer is within reach
+# about 20 s and peaks near 20 MB.  An exhaustive answer is within reach
 # only for r of about 10 and below.
 MAX_SEARCH_R = 64
 

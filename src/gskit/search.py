@@ -32,6 +32,8 @@ budget, first-witness runs, runs on one worker or one CPU, and runs where
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 from enum import Enum
 
@@ -172,9 +174,9 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
     # `path` holds the colors placed at 1 .. pos - 1, and (forbid, maxused)
     # the state of the node at pos.  Most nodes allow one color only, so
     # the stack keeps just the branch points: nodes with an allowed color
-    # not yet tried, as [pos, that color, forbid, maxused, members].  A
-    # dead end resumes the last one, which restores its state at once and
-    # drops the forced placements below it from `path`.
+    # not yet tried, as [pos, that color, forbid, maxused].  A dead end
+    # resumes the last one: it takes back the placements below it from
+    # `path` and `members`, and restores its forbid list at once.
     path = list(prefix)
     pos = len(path) + 1
     stack: list[list] = []
@@ -200,12 +202,12 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
             while nxt <= top and forbid[nxt - 1] & 1:
                 nxt += 1
             if nxt <= top:
-                stack.append([pos, nxt, forbid, maxused, tuple(members)])
+                stack.append([pos, nxt, forbid, maxused])
         elif stack:
             branch = stack[-1]
-            pos, color, forbid, maxused, snapshot = branch
-            members[:] = snapshot
-            del path[pos - 1 :]
+            pos, color, forbid, maxused = branch
+            for p in range(len(path), pos - 1, -1):
+                members[path.pop() - 1] ^= 1 << p
             top = maxused + 1 if maxused < r else r
             nxt = color + 1
             while nxt <= top and forbid[nxt - 1] & 1:
@@ -284,12 +286,10 @@ def _unbudgeted(cfg: SearchConfig) -> SearchConfig:
 
 def default_split_depth(cfg: SearchConfig) -> int:
     """Split depth used when the caller does not pick one; a pure function
-    of the config so that worker count never influences the report.  Deep
-    enough that no one subtree holds most of the work: on weak r = 8 at
-    n = 500 the largest of its 22 tasks has about 15% of the nodes."""
+    of the config so that worker count never influences the report."""
     if cfg.n < 12:
         return 0
-    return min(32, cfg.n // 3)
+    return min(8, cfg.n // 3)
 
 
 def run_search(
@@ -316,9 +316,6 @@ def run_search(
         return exists_partition(cfg)
     if cfg.node_budget is not None or cfg.wall_budget is not None:
         return exists_partition(cfg)
-    import os
-    import sys
-
     procs = min(workers, os.cpu_count() or 1)
     # A forked child gets a copy of every lock, but only the calling
     # thread; with other threads running, one might hold a lock forever.

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -15,7 +16,7 @@ from gskit.core import Kind
 from gskit.pool import run_forked
 from gskit.search import SearchConfig, SearchMode, exists_partition, report_json, run_search
 
-# Weak r = 5 at its maximal order splits into 18 tasks at the default depth.
+# Weak r = 5 at its maximal order splits into 9 tasks at the default depth.
 _CFG = SearchConfig(kind=Kind.WEAK, r=5, n=89, mode=SearchMode.ENUMERATE_ALL)
 # Weak r = 3 at n = 17 has two tasks at depth 2.
 _SMALL = SearchConfig(kind=Kind.WEAK, r=3, n=17, mode=SearchMode.ENUMERATE_ALL)
@@ -113,6 +114,69 @@ def test_single_process_runs_do_not_split(monkeypatch, forks, setup):
         assert run_search(_CFG, workers=workers) == want
     assert depths == [None]
     assert forks == []
+
+
+class _TwoArgError(Exception):
+    """Pickles, but cannot be unpickled: pickle rebuilds it from its one
+    stored argument."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def _raise_unpicklable(task):
+    class LocalError(Exception):
+        pass
+
+    raise LocalError("from a class pickle cannot find")
+
+
+def _raise_unloadable(task):
+    raise _TwoArgError("needs two arguments", 2)
+
+
+def _raise_value_error(task):
+    raise ValueError(f"bad task {task.prefix}")
+
+
+def _exit_7(task):
+    os._exit(7)
+
+
+def _kill_self(task):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("run_task, error, match", [
+    (_raise_value_error, ValueError, r"^bad task \("),
+    (_raise_unpicklable, RuntimeError, r"^search worker failed: .*LocalError\('from a class pickle"),
+    (_raise_unloadable, RuntimeError, r"^search worker failed: _TwoArgError\('needs two arguments'\)$"),
+    (_exit_7, RuntimeError, r"^search worker \d+ exited with status 7 and no report$"),
+    (_kill_self, RuntimeError, r"^search worker \d+ exited with status -9 and no report$"),
+])
+def test_worker_failures_surface_after_cleanup(monkeypatch, forks, run_task, error, match):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "run_task", run_task)
+    fds = _open_fds()
+    with pytest.raises(error, match=match):
+        run_search(_CFG, workers=2)
+    assert len(forks) == 2
+    assert _no_children_left()
+    assert _open_fds() == fds
+
+
+def test_interrupted_parent_kills_and_reaps_its_children(forks):
+    # The children would sleep for a minute; the alarm raises in the
+    # parent while it waits for their reports.
+    fds = _open_fds()
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):
+        run_forked(time.sleep, [60, 60, 60], 2)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 2
+    assert _no_children_left()
+    assert _open_fds() == fds
 
 
 def test_pool_runs_every_item_once_in_order():
