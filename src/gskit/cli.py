@@ -4,7 +4,9 @@ Subcommands: verify, table, construct, decompose, search, cnf.  Exit
 codes are uniform across commands: 0 means ok (property verified,
 witness found), 1 means a definite negative answer (violation found,
 infeasible order, structural mismatch), 2 means a usage or input error,
-and 3 means a budget ran out before the answer was conclusive.
+and 3 means a budget ran out before the answer was conclusive.  A search
+worker process that dies, or whose error cannot be sent back, ends the
+command with one `error:` line and code 2, like an I/O error.
 
 Positional inputs (partitions and solver models) are a file path, `-`
 for stdin, or inline text; partition content may be a digit string or
@@ -233,7 +235,7 @@ def cmd_decompose(args) -> int:
     canon = canonicalize(coloring)
     if canon != coloring:
         _err("note: input canonicalized before decomposition")
-    dec = decompose_full(canon)
+    dec = decompose_full(canon, canonical=True)
     if args.json:
         doc = {
             "base": str(dec.base),
@@ -246,11 +248,13 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-# Most colors search takes.  Each node builds one forbid mask per color,
-# and every branch point on the search path keeps its list, so time per
-# node grows with r times the depth: r = 64 with --budget 100,000 takes
-# about 20 s and peaks near 20 MB.  An exhaustive answer is within reach
-# only for r of about 10 and below.
+# Most colors search takes.  The search packs r bits per position into
+# each mask, and keeps one mask per color class at that width, so time
+# per node grows with r times the depth and memory with r^2 times the
+# depth: at r = 64, --budget 20,000 takes about 1.6 s and 45 MB, and
+# --budget 100,000 about 38 s and 137 MB (1.1x and 1.6x the time of one
+# mask per color).  An exhaustive answer is within reach only for r of
+# about 10 and below.
 MAX_SEARCH_R = 64
 
 
@@ -478,6 +482,13 @@ def main(argv=None) -> int:
         _err(f"error: {e}")
         return 2
     except OSError as e:
+        _err(f"error: {e}")
+        return 2
+    except RuntimeError as e:
+        from .pool import WorkerError
+
+        if not isinstance(e, WorkerError):
+            raise
         _err(f"error: {e}")
         return 2
 

@@ -21,11 +21,16 @@ from typing import Callable
 _CHUNK = 128
 
 
+class WorkerError(RuntimeError):
+    """A child failed outside `fn`'s own errors: it died without a report,
+    or the exception `fn` raised could not be sent back."""
+
+
 def run_forked(fn: Callable, items: list, procs: int) -> list:
     """`fn` over every item on `procs` forked children, in item order.
 
     A child whose call raises sends the exception instead, and it is
-    raised here; a child that dies without a report raises RuntimeError
+    raised here; a child that dies without a report raises WorkerError
     with its exit status.  Either way, only after every child is reaped
     and every pipe closed.
     """
@@ -81,7 +86,7 @@ def run_forked(fn: Callable, items: list, procs: int) -> list:
             ok, value = pickle.loads(payload)
         except Exception:
             code = os.waitstatus_to_exitcode(status)
-            raise RuntimeError(
+            raise WorkerError(
                 f"search worker {pid} exited with status {code} and no report"
             ) from None
         if not ok:
@@ -108,7 +113,7 @@ def _serve(fn: Callable, items: list, task_read: int, task_write: int, result_wr
             payload = pickle.dumps((False, exc))
             pickle.loads(payload)
         except Exception:
-            payload = pickle.dumps((False, RuntimeError(f"search worker failed: {exc!r}")))
+            payload = pickle.dumps((False, WorkerError(f"search worker failed: {exc!r}")))
     finally:
         try:
             view = memoryview(payload)

@@ -9,12 +9,13 @@ may exceed the colors used so far by at most one), which makes every
 accepted leaf canonical and the enumeration duplicate-free up to
 relabeling.  A leaf is accepted when all r colors occur.
 
-Color classes are kept as bitmasks over [1, n].  Each color k carries a
-mask of its members and a mask of the positions it may not take: the
+The positions a color may not take are kept for all r colors in one
+integer, r bits (lanes) per position: color k is ruled out at c by the
 pair sums within its class (a + a included only in the strong case) and
-E_k, the sums a + b with a and b in two distinct classes other than k.
-Testing a candidate color at position c is then one bit probe, and
-placing a color updates each color's mask once.
+by E_k, the sums a + b with a and b in two distinct classes other than k.
+The allowed colors at a position are then its r low bits, and placing a
+color updates every color's lane with a few whole-integer operations
+(broadword packing, Knuth, TAOCP 4A, 7.1.3) instead of one per color.
 
 The search is one loop over an explicit stack that holds only branch
 points, the nodes with an allowed color not yet tried.  Most nodes allow
@@ -134,32 +135,57 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
     wall_budget = cfg.wall_budget
     deadline = None if wall_budget is None else time.monotonic() + wall_budget
 
-    # members[k - 1] is color k's class, bit x set for each member x.  At
-    # the node that colors position pos, entry k - 1 of its forbid list has
-    # bit j set when some a + b = pos + j with a, b already placed rules
-    # color k out at pos + j: a and b in class k (monochromatic), or in two
-    # distinct classes other than k (rainbow; this part is E_k).  Bit 0 is
-    # pos itself, so a probe is `f & 1` and a child shifts each mask down
-    # one.  Placing a color builds the child's forbid list and leaves the
-    # parent's untouched.
-    members = [0] * r
+    # Every mask packs r lanes per row: bit j * r + k - 1 is color k at
+    # row j.  At the node that colors position pos, `forbid` has that bit
+    # set when some a + b = pos + j with a, b already placed rules color k
+    # out at pos + j: a and b in class k (monochromatic), or in two
+    # distinct classes other than k (rainbow).  Row 0 is pos itself, so the
+    # low r bits, inverted, are the allowed colors, and a child shifts the
+    # mask down one row.  Row a of `others` is own[c - 1], every lane but
+    # c's, for each placed a of color c; classes[k - 1] holds every lane of
+    # the rows in class k.  Every mask stays non-negative: `~` on a long
+    # integer costs several times an `&`, so lane k is cleared with
+    # not_lane[k - 1], every lane but k's over the first `rows` rows.
+    lanes = (1 << r) - 1
+    own = [lanes ^ 1 << k for k in range(r)]
+    others = 0
+    classes = [0] * r
+    rows = 0
+    not_lane: list[int] = []
 
-    def place(pos: int, color: int, forbid: list[int]) -> list[int]:
+    def place(pos: int, color: int, forbid: int) -> int:
+        nonlocal others, rows, not_lane
         k = color - 1
-        cls = members[k]
-        # pos plus a member a of class j != color is a rainbow sum, at
-        # offset a from pos, for every third color.  The classes are
-        # disjoint, so `others ^ m` is `others` without class m.
-        others = ((1 << pos) - 2) ^ cls
-        nxt = [(f | others ^ m) >> 1 for f, m in zip(forbid, members)]
-        nxt[k] = (forbid[k] | cls | (1 << pos if strong else 0)) >> 1
-        members[k] = cls | 1 << pos
-        return nxt
+        if rows <= pos and rows <= n - pos:
+            # x needs rows 0 .. min(pos, n - pos) only, so not_lane grows
+            # by doubling, from 64 rows, as the walk deepens instead of
+            # covering n rows up front.
+            rows = min(max(2 * rows, 64), n + 1)
+            full = (1 << rows * r) - 1
+            ones = full // lanes
+            not_lane = [full ^ ones << j for j in range(r)]
+        # Row a of x is pos + a: color k alone when a is in class k, every
+        # color but k and a's own otherwise.  Under the strong kind, pos
+        # joins class k first, so row pos (2 * pos = pos + pos) rules out
+        # color k too.
+        shift = pos * r
+        if strong:
+            others |= own[k] << shift
+            classes[k] |= lanes << shift
+            x = (others & not_lane[k]) ^ classes[k]
+        else:
+            x = (others & not_lane[k]) ^ classes[k]
+            others |= own[k] << shift
+            classes[k] |= lanes << shift
+        if 2 * pos > n + 1:
+            # Rows past n - pos lie beyond n: drop them to keep masks short.
+            x &= (1 << (n - pos + 1) * r) - 1
+        return (forbid | x) >> r
 
-    forbid = [0] * r
+    forbid = 0
     maxused = 0
     for pos, color in enumerate(prefix, start=1):
-        if not 1 <= color <= min(maxused + 1, r) or forbid[color - 1] & 1:
+        if not 1 <= color <= min(maxused + 1, r) or forbid >> color - 1 & 1:
             raise ValueError(f"prefix is not a reachable search state at position {pos}")
         forbid = place(pos, color, forbid)
         maxused = max(maxused, color)
@@ -174,46 +200,43 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
     # `path` holds the colors placed at 1 .. pos - 1, and (forbid, maxused)
     # the state of the node at pos.  Most nodes allow one color only, so
     # the stack keeps just the branch points: nodes with an allowed color
-    # not yet tried, as [pos, that color, forbid, maxused].  A dead end
-    # resumes the last one: it takes back the placements below it from
-    # `path` and `members`, and restores its forbid list at once.
+    # not yet tried, as [pos, the untried colors as a bit set, forbid,
+    # maxused].  A dead end resumes the last one: it XORs the rows of the
+    # placements below it back out of `others` and `classes`, and restores
+    # its forbid mask at once.
     path = list(prefix)
     pos = len(path) + 1
     stack: list[list] = []
     while True:
-        top = maxused + 1 if maxused < r else r
         if stop_depth is not None and pos > stop_depth:
             frontier.append(tuple(path))
-            top = 0
+            allowed = 0
         elif pos > n:
             if maxused == r:
                 witnesses.append(tuple(path))
                 if first_witness:
                     stopped_at_witness = True
                     break
-            top = 0
+            allowed = 0
         elif r - maxused > n - pos + 1:
-            top = 0
-        color = 1
-        while color <= top and forbid[color - 1] & 1:
-            color += 1
-        if color <= top:
-            nxt = color + 1
-            while nxt <= top and forbid[nxt - 1] & 1:
-                nxt += 1
-            if nxt <= top:
-                stack.append([pos, nxt, forbid, maxused])
+            allowed = 0
+        else:
+            candidates = (2 << maxused) - 1 if maxused < r else lanes
+            allowed = (forbid & candidates) ^ candidates
+        if allowed:
+            low = allowed & -allowed
+            if allowed != low:
+                stack.append([pos, allowed ^ low, forbid, maxused])
         elif stack:
             branch = stack[-1]
-            pos, color, forbid, maxused = branch
+            pos, allowed, forbid, maxused = branch
             for p in range(len(path), pos - 1, -1):
-                members[path.pop() - 1] ^= 1 << p
-            top = maxused + 1 if maxused < r else r
-            nxt = color + 1
-            while nxt <= top and forbid[nxt - 1] & 1:
-                nxt += 1
-            if nxt <= top:
-                branch[1] = nxt
+                k = path.pop() - 1
+                others ^= own[k] << p * r
+                classes[k] ^= lanes << p * r
+            low = allowed & -allowed
+            if allowed != low:
+                branch[1] = allowed ^ low
             else:
                 stack.pop()
         else:
@@ -226,6 +249,7 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
             if time.monotonic() > deadline:
                 aborted = True
                 break
+        color = low.bit_length()
         forbid = place(pos, color, forbid)
         path.append(color)
         if color > maxused:

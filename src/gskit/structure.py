@@ -101,13 +101,16 @@ def peel(c: Coloring) -> tuple[MappingTag, Coloring]:
     return layer
 
 
-def decompose_full(c: Coloring) -> Decomposition:
+def decompose_full(c: Coloring, *, canonical: bool = False) -> Decomposition:
     """Peel constructions until a Base coloring remains.
 
     The tag list comes out innermost first, so `Decomposition.replay`
-    rebuilds the input bit-exactly.
+    rebuilds the input bit-exactly.  A non-canonical c raises ValueError;
+    a caller that has just canonicalized c passes `canonical=True` to skip
+    that check, a full pass over the entries.
     """
-    _require_canonical(c)
+    if not canonical:
+        _require_canonical(c)
     tags: list[MappingTag] = []
     current = c
     while (layer := _outer_layer(current)) is not None:

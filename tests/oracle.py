@@ -102,6 +102,70 @@ def naive_search_tree(kind: str, r: int, n: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def naive_dfs(kind: str, r: int, n: int, mode: str, budget, stop_depth, prefix: tuple[int, ...]):
+    """The search engine's report, by a plain recursive walk of the
+    canonical tree below `prefix` (assumed valid), colors in increasing
+    order: (witnesses, nodes, exhausted, frontier, deepest).
+
+    A child extends a word by one color, at most one above the largest
+    used, when no pair a + b = c at its new position c is monochromatic
+    or rainbow.  Nodes count the children entered, up to `budget`;
+    `deepest` is the longest entered word that uses all r colors.  A word
+    of length `stop_depth` or more goes to the frontier unexpanded; one of
+    length n is a witness when it uses all r colors.  A word that needs
+    more new colors than positions remain has no children.  `mode` is
+    "first-witness" or "enumerate-all"."""
+    strong = kind == "strong"
+    witnesses: list[tuple[int, ...]] = []
+    frontier: list[tuple[int, ...]] = []
+    count = {"nodes": 0, "deepest": 0}
+
+    class Stop(Exception):
+        pass
+
+    def fits(word):
+        c = len(word)
+        cc = word[-1]
+        for a in range(1, c // 2 + 1):
+            ca, cb = word[a - 1], word[c - a - 1]
+            if ca == cb == cc and (strong or 2 * a != c):
+                return False
+            if ca != cb and cb != cc and ca != cc:
+                return False
+        return True
+
+    def visit(word):
+        used = max(word, default=0)
+        if stop_depth is not None and len(word) >= stop_depth:
+            frontier.append(word)
+            return
+        if len(word) == n:
+            if used == r:
+                witnesses.append(word)
+                if mode == "first-witness":
+                    raise Stop
+            return
+        if r - used > n - len(word):
+            return
+        for color in range(1, min(used + 1, r) + 1):
+            child = word + (color,)
+            if not fits(child):
+                continue
+            if count["nodes"] == budget:
+                raise Stop
+            count["nodes"] += 1
+            if max(used, color) == r:
+                count["deepest"] = max(count["deepest"], len(child))
+            visit(child)
+
+    try:
+        visit(tuple(prefix))
+        exhausted = True
+    except Stop:
+        exhausted = False
+    return witnesses, count["nodes"], exhausted, frontier, count["deepest"]
+
+
 def naive_two_fold(colors: tuple[int, ...]) -> tuple[int, ...]:
     """The two-fold image by its position rule: odd x gets color 1, even
     x = 2k gets the color of k plus one."""

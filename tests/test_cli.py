@@ -292,6 +292,27 @@ def test_decompose_canonicalizes_with_note(capsys):
     assert "canonicalized" in captured.err
 
 
+def test_decompose_checks_canonicity_once(capsys, monkeypatch):
+    # The command canonicalizes its input itself; the peeling must not
+    # check it a second time.
+    import gskit.structure
+
+    def unexpected(c):
+        raise AssertionError("second canonicity check")
+
+    monkeypatch.setattr(gskit.structure, "is_canonical", unexpected)
+    assert invoke(["decompose", "2112"]) == 0
+    assert capsys.readouterr() == (
+        "base=1221 tags=\n",
+        "note: input canonicalized before decomposition\n",
+    )
+    assert invoke(["decompose", "122131221", "--json"]) == 0
+    assert capsys.readouterr() == (
+        '{"base": "1", "tags": ["FiveFold"], "original_order": 9}\n',
+        "",
+    )
+
+
 def test_construct_decompose_roundtrip_via_pipe_text(capsys, monkeypatch):
     for r in range(1, 11):
         for kind in ("strong", "weak"):

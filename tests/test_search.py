@@ -23,7 +23,7 @@ from gskit.search import (
     run_task,
 )
 
-from oracle import naive_enumerate, naive_search_tree, scan_max_order
+from oracle import naive_dfs, naive_enumerate, naive_search_tree, scan_max_order
 
 
 def _cfg(kind, r, n, mode=SearchMode.FIRST_WITNESS, **kw):
@@ -332,6 +332,54 @@ def test_engine_matches_naive_tree_walk():
                                 )
                                 got = _explore(cfg, prefix, stop_depth)
                                 assert got == want, (kind, r, n, mode, budget, stop_depth, prefix)
+
+
+@pytest.mark.parametrize("kind, r, n", [
+    (Kind.STRONG, 4, 44),
+    (Kind.STRONG, 4, 45),
+    (Kind.WEAK, 4, 44),
+    (Kind.WEAK, 5, 89),
+    (Kind.STRONG, 5, 124),
+])
+def test_engine_matches_naive_dfs_at_larger_orders(kind, r, n):
+    # Deep enough for the packed masks to grow and for the rows past n to
+    # be cut off in the second half of the order.
+    depth = 12
+    _, _, _, shallow, _ = naive_dfs(kind.value, r, n, "enumerate-all", None, depth, ())
+    prefixes = [()] + shallow[:: max(1, len(shallow) // 3)][:3]
+    for mode in SearchMode:
+        for budget in (None, 1, 100, 700):
+            cfg = _cfg(kind, r, n, mode, node_budget=budget)
+            for stop_depth in (None, 0, 3, 30, 60):
+                for prefix in prefixes:
+                    want = naive_dfs(kind.value, r, n, mode.value, budget, stop_depth, prefix)
+                    got = _explore(cfg, prefix, stop_depth)
+                    assert got == want, (mode, budget, stop_depth, prefix)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind, r, limit, want", [
+    (Kind.STRONG, 10, 3129, (3124, True)),
+    (Kind.WEAK, 9, 2254, (2249, True)),
+])
+def test_deepest_walks_prove_the_closed_form(kind, r, limit, want):
+    # Orders in the thousands, where the packed masks are widest.
+    # Deselected by default; run with `pytest -m slow`.
+    assert max_order(kind, r, limit) == want
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind, r, count", [
+    (Kind.STRONG, 9, 5),
+    (Kind.STRONG, 10, 1),
+    (Kind.WEAK, 9, 4),
+])
+def test_deepest_maximal_enumerations(kind, r, count):
+    witnesses = enumerate_maximal(kind, r)
+    assert len(witnesses) == count
+    for w in witnesses:
+        assert (w.n, w.r) == (gs_number(r, kind).value - 1, r)
+        assert is_canonical(w) and check_partition(w, kind).ok
 
 
 def test_max_order_memory_stays_flat_at_64_colors():

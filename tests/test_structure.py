@@ -43,6 +43,10 @@ def test_classify_degenerate_orders_are_base():
 def test_classify_requires_canonical():
     with pytest.raises(ValueError):
         classify(parse_coloring("2112"))
+    with pytest.raises(ValueError):
+        peel(parse_coloring("2112"))
+    with pytest.raises(ValueError):
+        decompose_full(parse_coloring("2112"))
 
 
 def test_classify_image_patterns_are_exact():

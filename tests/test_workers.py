@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -219,3 +220,31 @@ def test_cli_output_on_two_workers_is_exact():
     assert runs["1"] == runs["2"]
     report = report_json(_CFG, exists_partition(_CFG))
     assert runs["2"] == b"before the search\n" + report.encode() + b"\n"
+
+
+@pytest.mark.parametrize("death, status", [
+    ("os._exit(7)", "7"),
+    ("os.kill(os.getpid(), signal.SIGKILL)", "-9"),
+])
+def test_cli_reports_a_dead_worker_in_one_line(death, status):
+    # Every child dies in its first task: the command ends with one error
+    # line and the input-error code, not a traceback.
+    patch = (
+        "import os, signal\n"
+        "import gskit.search\n"
+        f"gskit.search.run_task = lambda task: {death}\n"
+    )
+    argv = ["search", "--kind", "weak", "--r", "5", "--n", "89", "--enumerate"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, "-c", patch + _CLI, *argv, "--workers", "2"],
+        capture_output=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert re.fullmatch(
+        rf"error: search worker \d+ exited with status {status} and no report\n".encode(),
+        proc.stderr,
+    ), proc.stderr
+    assert proc.stdout == b"before the search\n"
