@@ -29,7 +29,7 @@ _EXPORTS = {
             inverse_five_fold inverse_two_fold maximal_partition two_fold"""),
         ("structure", """Decomposition StructureClass classify decompose_full
             peel verify_image_structure"""),
-        ("search", """PartialResultError SearchConfig SearchMode SearchReport
+        ("search", """MaximalReport SearchConfig SearchMode SearchReport
             SubtreeTask enumerate_maximal exists_partition max_order
             parallel_split report_json run_search run_task"""),
         ("satgen", """CnfDocument clause_census clause_count decode encode

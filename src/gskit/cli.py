@@ -259,7 +259,8 @@ MAX_SEARCH_R = 64
 
 
 def cmd_search(args) -> int:
-    from .search import SearchConfig, SearchMode, max_order, report_json, run_search
+    from .search import SearchConfig, SearchMode, enumerate_maximal, max_order
+    from .search import report_json, run_search, walk_limit
 
     if args.r < 1:
         raise UsageError("--r must be at least 1")
@@ -271,60 +272,52 @@ def cmd_search(args) -> int:
         raise UsageError("--max-order excludes --n and --enumerate")
     if not args.max_order and not args.enumerate and args.n is None:
         raise UsageError("one of --n, --max-order, --enumerate is required")
-
-    n, confirmed = args.n, True
-    if n is None:
-        # --max-order, or --enumerate at the maximal order.  Like
-        # enumerate_maximal, the walk and the enumeration after it each get
-        # the full --budget and --wall.
-        limit = args.limit
-        if limit is None:
-            limit = gs_number(args.r, kind).value - 1 + args.streak
-        m_max, confirmed = max_order(
-            kind,
-            args.r,
-            limit,
-            streak=args.streak,
-            node_budget=args.budget,
-            wall_budget=args.wall,
-        )
-        if args.max_order:
-            if args.json:
-                doc = {
-                    "kind": kind.value,
-                    "r": args.r,
-                    "limit": limit,
-                    "streak": args.streak,
-                    "m_max": m_max,
-                    "confirmed": confirmed,
-                }
-                _print_json(doc)
-            else:
-                state = "confirmed" if confirmed else "unconfirmed"
-                print(f"m_max {m_max} {state} (streak {args.streak})")
-            return 0 if confirmed else 3
-        if m_max == 0:
-            _err(f"no feasible order up to {limit}")
-            return 1 if confirmed else 3
-        n = m_max
-
-    if n < 1:
+    if args.n is not None and args.n < 1:
         raise UsageError("--n must be at least 1")
-    if args.streak < 1:
-        raise UsageError("streak must be positive")
+    # --streak is checked in every mode; a fixed --n is its own ceiling.
+    limit = walk_limit(kind, args.r, args.limit if args.n is None else args.n, args.streak)
+    # Checked in every mode, after the flags above and before any search.
+    if workers < 1:
+        raise UsageError("worker count must be positive")
+
+    if args.max_order:
+        m_max, confirmed = max_order(
+            kind, args.r, limit, node_budget=args.budget, wall_budget=args.wall
+        )
+        if args.json:
+            doc = {
+                "kind": kind.value,
+                "r": args.r,
+                "limit": limit,
+                "streak": args.streak,
+                "m_max": m_max,
+                "confirmed": confirmed,
+            }
+            _print_json(doc)
+        else:
+            state = "confirmed" if confirmed else "unconfirmed"
+            print(f"m_max {m_max} {state} (streak {args.streak})")
+        return 0 if confirmed else 3
 
     mode = SearchMode.ENUMERATE_ALL if args.enumerate else SearchMode.FIRST_WITNESS
-    cfg = SearchConfig(
-        kind=kind,
-        r=args.r,
-        n=n,
-        mode=mode,
-        node_budget=args.budget,
-        wall_budget=args.wall,
-    )
-    report = run_search(cfg, workers=workers, split_depth=args.split_depth)
+    if args.n is None:
+        # --enumerate at the maximal order: enumerate_maximal defines the
+        # flow, and gives the walk and the enumeration the full --budget and
+        # --wall each.
+        found = enumerate_maximal(
+            kind, args.r, limit, node_budget=args.budget, wall_budget=args.wall,
+            workers=workers, split_depth=args.split_depth,
+        )
+        if found.report is None:
+            _err(f"no feasible order up to {limit}")
+            return 1 if found.confirmed else 3
+        n, confirmed, report = found.m_max, found.confirmed, found.report
+    else:
+        n, confirmed = args.n, True
+        cfg = SearchConfig(kind, args.r, n, mode, args.budget, args.wall)
+        report = run_search(cfg, workers=workers, split_depth=args.split_depth)
     if args.json:
-        print(report_json(cfg, report))
+        print(report_json(SearchConfig(kind, args.r, n, mode), report))
     else:
         for w in report.witnesses:
             print(str(w))
@@ -433,10 +426,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="prefix depth for parallel task splitting")
     p.add_argument("--budget", type=int, default=None,
                    help="node budget (with --enumerate and no --n, for the "
-                        "max-order walk and the enumeration each)")
+                        "max-order walk and the enumeration each, as in "
+                        "search.enumerate_maximal)")
     p.add_argument("--wall", type=float, default=None,
                    help="wall-clock budget, seconds (with --enumerate and no "
-                        "--n, for the max-order walk and the enumeration each)")
+                        "--n, for the max-order walk and the enumeration "
+                        "each, as in search.enumerate_maximal)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 

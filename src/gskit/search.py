@@ -69,7 +69,7 @@ class SearchConfig(Record):
             raise ValueError("r and n must be positive")
         if node_budget is not None and node_budget < 1:
             raise ValueError("node budget must be positive")
-        if wall_budget is not None and wall_budget <= 0:
+        if wall_budget is not None and not wall_budget > 0:
             raise ValueError("wall budget must be positive")
         _set(self, "kind", kind)
         _set(self, "r", r)
@@ -104,12 +104,19 @@ class SubtreeTask(Record):
         _set(self, "prefix", prefix)
 
 
-class PartialResultError(RuntimeError):
-    """Enumeration could not be completed within budget; carries what was found."""
+class MaximalReport(Record):
+    """What `enumerate_maximal` found: the walk's order ceiling, the
+    maximal order and whether it is proved, and the enumeration at that
+    order (None when no order up to `limit` was shown feasible).
+    """
 
-    def __init__(self, message: str, witnesses: tuple[Coloring, ...]):
-        super().__init__(message)
-        self.witnesses = witnesses
+    __slots__ = ("limit", "m_max", "confirmed", "report")
+
+    def __init__(self, limit: int, m_max: int, confirmed: bool, report: SearchReport | None):
+        _set(self, "limit", limit)
+        _set(self, "m_max", m_max)
+        _set(self, "confirmed", confirmed)
+        _set(self, "report", report)
 
 
 _WALL_CHECK_INTERVAL = 64
@@ -373,11 +380,26 @@ def run_search(
     )
 
 
+def walk_limit(kind: Kind, r: int, limit: int | None = None, streak: int = 5) -> int:
+    """Order ceiling of the max-order walk: `limit`, or by default
+    GS(r) - 1 + streak, `streak` orders past the closed-form maximum.
+
+    The limit is checked before the streak, so a default limit pushed
+    below 1 by a negative streak is reported as such.
+    """
+    if limit is None:
+        limit = gs_number(r, kind).value - 1 + streak
+    if limit < 1:
+        raise ValueError("limit must be positive")
+    if streak < 1:
+        raise ValueError("streak must be positive")
+    return limit
+
+
 def max_order(
     kind: Kind,
     r: int,
     limit: int,
-    streak: int = 5,
     node_budget: int | None = None,
     wall_budget: float | None = None,
 ) -> tuple[int, bool]:
@@ -390,14 +412,11 @@ def max_order(
     the maximum is the deepest depth reached with all r colors in use.  It
     is confirmed (proved) when the walk finishes, or when it reaches
     `limit` itself.  The budgets cap the whole walk; one that fires leaves
-    the flag False and the maximum a lower bound.  `streak` is only
-    validated here: callers derive their default `limit` from it.
-    Returns (0, flag) when no order is feasible.
+    the flag False and the maximum a lower bound.  Returns (0, flag) when
+    no order is feasible.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    if streak < 1:
-        raise ValueError("streak must be positive")
     cfg = SearchConfig(
         kind=kind,
         r=r,
@@ -419,42 +438,24 @@ def enumerate_maximal(
     wall_budget: float | None = None,
     workers: int = 1,
     split_depth: int | None = None,
-) -> list[Coloring]:
+) -> MaximalReport:
     """Every maximal r-color partition of the given kind, up to relabeling.
 
-    Finds the maximal order with `max_order` (by default up to the
-    closed-form value plus the streak), then enumerates all canonical
-    witnesses at that order, in lexicographic order.  The node and wall
+    Finds the maximal order with `max_order`, up to `walk_limit(kind, r,
+    limit, streak)`, then enumerates all canonical witnesses at that
+    order, in lexicographic order, with `run_search`.  The node and wall
     budgets apply to each phase separately, so the whole call may spend up
-    to twice either one.  Raises PartialResultError, carrying whatever was
-    found, when a budget stops either phase from being conclusive.
+    to twice either one.  A budget never raises: the answer is proved only
+    when `confirmed` is True and the report is exhausted, and whatever was
+    found is returned either way.
     """
-    if limit is None:
-        limit = gs_number(r, kind).value - 1 + streak
-    m_max, confirmed = max_order(
-        kind, r, limit, streak=streak, node_budget=node_budget, wall_budget=wall_budget
-    )
-    if m_max == 0:
-        if not confirmed:
-            raise PartialResultError(
-                f"no feasible order found below {limit} within budget", witnesses=()
-            )
-        return []
-    cfg = SearchConfig(
-        kind=kind,
-        r=r,
-        n=m_max,
-        mode=SearchMode.ENUMERATE_ALL,
-        node_budget=node_budget,
-        wall_budget=wall_budget,
-    )
-    report = run_search(cfg, workers=workers, split_depth=split_depth)
-    if not confirmed or not report.exhausted:
-        raise PartialResultError(
-            f"enumeration at order {m_max} is not conclusive within budget",
-            witnesses=report.witnesses,
-        )
-    return list(report.witnesses)
+    limit = walk_limit(kind, r, limit, streak)
+    m_max, confirmed = max_order(kind, r, limit, node_budget, wall_budget)
+    report = None
+    if m_max:
+        cfg = SearchConfig(kind, r, m_max, SearchMode.ENUMERATE_ALL, node_budget, wall_budget)
+        report = run_search(cfg, workers=workers, split_depth=split_depth)
+    return MaximalReport(limit=limit, m_max=m_max, confirmed=confirmed, report=report)
 
 
 def report_json(cfg: SearchConfig, report: SearchReport) -> str:

@@ -66,7 +66,7 @@ def test_criterion_3_search_agrees_with_formula():
     for kind, maxima in expected.items():
         for r, m in enumerate(maxima, start=1):
             limit = gs_number(r, kind).value - 1 + 5
-            assert max_order(kind, r, limit, streak=5) == (m, True), (kind, r)
+            assert max_order(kind, r, limit) == (m, True), (kind, r)
             assert m == gs_number(r, kind).value - 1
     print("PASS criterion 3: max_order confirms the formula for r = 1..4")
 
@@ -81,7 +81,7 @@ def test_criterion_4_enumeration_counts():
         (Kind.WEAK, 4): 1,
     }
     for (kind, r), count in expected.items():
-        witnesses = enumerate_maximal(kind, r)
+        witnesses = enumerate_maximal(kind, r).report.witnesses
         assert len(witnesses) == count, (kind, r, len(witnesses))
     print("PASS criterion 4: maximal partition counts match, r = 2..4")
 
@@ -108,7 +108,7 @@ def test_criterion_5_mapping_closure_property():
 
 def test_criterion_6_structure_of_maximal_partitions():
     for kind in (Kind.STRONG, Kind.WEAK):
-        for w in enumerate_maximal(kind, 4):
+        for w in enumerate_maximal(kind, 4).report.witnesses:
             cls = classify(w)
             assert cls in (
                 StructureClass.FIVE_FOLD_IMAGE,

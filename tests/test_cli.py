@@ -381,6 +381,23 @@ def test_search_enumerate(capsys):
     assert capsys.readouterr().out == "121313121\n122131221\n"
 
 
+@pytest.mark.parametrize("extra, code, out, err", [
+    (["--budget", "3"], 3, "", "no feasible order up to 14\n"),
+    (["--limit", "2"], 1, "", "no feasible order up to 2\n"),
+    (["--limit", "5", "--json"], 0,
+     '{"kind": "strong", "r": 3, "n": 5, "witnesses": ["12131", "12213"],'
+     ' "nodes": 8, "exhausted": true}\n', ""),
+    (["--budget", "12", "--json"], 3,
+     '{"kind": "strong", "r": 3, "n": 9, "witnesses": ["121313121"],'
+     ' "nodes": 12, "exhausted": false}\n', ""),
+])
+def test_search_enumerate_at_maximum_outcomes(capsys, extra, code, out, err):
+    # --enumerate without --n: nothing feasible (budget spent or proved),
+    # a proved enumeration, and one cut short by the budget.
+    assert invoke(["search", "--r", "3", "--enumerate", *extra]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def test_search_json_report(capsys):
     assert invoke(["search", "--r", "2", "--n", "4", "--json"]) == 0
     out = capsys.readouterr().out
@@ -412,6 +429,18 @@ def test_search_streak_must_be_positive(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: streak must be positive\n"
+
+
+def test_search_refuses_nan_wall(capsys):
+    assert invoke(["search", "--r", "3", "--n", "9", "--wall", "nan"]) == 2
+    assert capsys.readouterr() == ("", "error: wall budget must be positive\n")
+
+
+@pytest.mark.parametrize("mode", [["--n", "9"], ["--max-order"], ["--enumerate"]])
+def test_search_refuses_zero_workers(capsys, mode):
+    # Checked before any search, in every mode.
+    assert invoke(["search", "--r", "3", "--workers", "0", *mode]) == 2
+    assert capsys.readouterr() == ("", "error: worker count must be positive\n")
 
 
 def test_search_refuses_r_above_cap(capsys, monkeypatch):

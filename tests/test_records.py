@@ -155,7 +155,8 @@ def test_constructor_validation_is_kept():
         SearchConfig(Kind.STRONG, 0, 4)
     with pytest.raises(ValueError, match="node budget must be positive"):
         SearchConfig(Kind.STRONG, 2, 4, node_budget=0)
-    with pytest.raises(ValueError, match="wall budget must be positive"):
-        SearchConfig(Kind.STRONG, 2, 4, wall_budget=0)
+    for wall in (0, float("nan")):
+        with pytest.raises(ValueError, match="wall budget must be positive"):
+            SearchConfig(Kind.STRONG, 2, 4, wall_budget=wall)
     with pytest.raises(ValueError, match="num_vars must equal n \\* r"):
         CnfDocument(1, 1, Kind.STRONG, False, 2, [], [], {})

@@ -7,7 +7,6 @@ import pytest
 from gskit.construct import gs_number
 from gskit.core import Kind, check_partition, is_canonical
 from gskit.search import (
-    PartialResultError,
     SubtreeTask,
     _explore,
     SearchConfig,
@@ -21,6 +20,7 @@ from gskit.search import (
     report_json,
     run_search,
     run_task,
+    walk_limit,
 )
 
 from oracle import naive_dfs, naive_enumerate, naive_search_tree, scan_max_order
@@ -93,16 +93,26 @@ def test_max_order_respects_limit():
     m, confirmed = max_order(Kind.STRONG, 2, 4)
     assert m == 4
     assert confirmed
-    m, confirmed = max_order(Kind.STRONG, 2, 7, streak=5)
+    m, confirmed = max_order(Kind.STRONG, 2, 7)
     assert (m, confirmed) == (4, True)
 
 
-def test_streak_is_validated_by_max_order_not_config():
+def test_streak_is_validated_by_walk_limit_not_config():
     with pytest.raises(ValueError, match="streak must be positive"):
-        max_order(Kind.STRONG, 2, 7, streak=0)
+        walk_limit(Kind.STRONG, 2, 7, streak=0)
     with pytest.raises(ValueError, match="streak must be positive"):
         enumerate_maximal(Kind.STRONG, 2, streak=0)
     assert "streak" not in SearchConfig.__slots__
+    with pytest.raises(TypeError):
+        max_order(Kind.STRONG, 2, 7, streak=5)
+    assert walk_limit(Kind.STRONG, 3) == 9 + 5
+    assert walk_limit(Kind.WEAK, 2, streak=1) == 8 + 1
+    assert walk_limit(Kind.STRONG, 3, 20, streak=2) == 20
+    # The limit is checked first, also when a negative streak pulls the
+    # default below 1 (strong GS(1) - 1 = 1).
+    for limit, streak in ((0, 0), (None, -1)):
+        with pytest.raises(ValueError, match="limit must be positive"):
+            walk_limit(Kind.STRONG, 1, limit, streak)
 
 
 def test_max_order_matches_per_order_scan():
@@ -116,7 +126,7 @@ def test_max_order_matches_per_order_scan():
             for limit in range(1, top + 1):
                 for streak in (1, 2, 5):
                     want = scan_max_order(feasible.__getitem__, limit, streak)
-                    got = max_order(kind, r, limit, streak=streak)
+                    got = max_order(kind, r, limit)
                     assert got == (want, True), (kind, r, limit, streak)
 
 
@@ -147,22 +157,50 @@ def test_wall_budget_truncates():
     assert not rep.exhausted
 
 
+def _maximal(kind, r, **kw):
+    return [str(w) for w in enumerate_maximal(kind, r, **kw).report.witnesses]
+
+
 def test_enumerate_maximal_counts():
-    assert [str(w) for w in enumerate_maximal(Kind.STRONG, 2)] == ["1221"]
-    assert [str(w) for w in enumerate_maximal(Kind.STRONG, 3)] == [
+    assert _maximal(Kind.STRONG, 2) == ["1221"]
+    assert _maximal(Kind.STRONG, 3) == [
         "121313121",
         "122131221",
     ]
-    assert [str(w) for w in enumerate_maximal(Kind.WEAK, 2)] == ["11212221"]
-    assert [str(w) for w in enumerate_maximal(Kind.WEAK, 3)] == [
+    assert _maximal(Kind.WEAK, 2) == ["11212221"]
+    assert _maximal(Kind.WEAK, 3) == [
         "12121312131313121",
     ]
 
 
 def test_enumerate_maximal_budget_error_carries_partials():
-    with pytest.raises(PartialResultError) as exc:
-        enumerate_maximal(Kind.WEAK, 3, node_budget=5)
-    assert isinstance(exc.value.witnesses, tuple)
+    found = enumerate_maximal(Kind.WEAK, 3, node_budget=5)
+    assert not found.confirmed
+    assert found.report is None
+    found = enumerate_maximal(Kind.STRONG, 3, node_budget=12)
+    assert (found.m_max, found.confirmed) == (9, False)
+    assert not found.report.exhausted
+    assert [str(w) for w in found.report.witnesses] == ["121313121"]
+
+
+@pytest.mark.parametrize("kind, r, budget", [
+    *[(Kind.STRONG, r, None) for r in range(1, 5)],
+    *[(Kind.WEAK, r, None) for r in range(1, 4)],
+    (Kind.STRONG, 3, 12),
+])
+def test_enumerate_maximal_is_the_cli_flow(capsys, kind, r, budget):
+    # `gskit search --enumerate --json` without --n prints the report of
+    # this very call, at n = m_max.
+    from gskit.cli import main
+
+    found = enumerate_maximal(kind, r, node_budget=budget)
+    cfg = SearchConfig(kind=kind, r=r, n=found.m_max, mode=SearchMode.ENUMERATE_ALL)
+    argv = ["search", "--kind", kind.value, "--r", str(r), "--enumerate", "--json"]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    code = main(argv)
+    assert capsys.readouterr() == (report_json(cfg, found.report) + "\n", "")
+    assert code == (0 if found.confirmed and found.report.exhausted else 3)
 
 
 def test_parallel_split_examples():
@@ -241,9 +279,9 @@ def test_stretch_orders_for_five_colors():
 
 
 def test_five_color_enumeration():
-    strong = enumerate_maximal(Kind.STRONG, 5)
+    strong = enumerate_maximal(Kind.STRONG, 5).report.witnesses
     assert len(strong) == 3
-    weak = enumerate_maximal(Kind.WEAK, 5)
+    weak = enumerate_maximal(Kind.WEAK, 5).report.witnesses
     assert len(weak) == 2
     for w in strong:
         assert check_partition(w, Kind.STRONG).ok
@@ -375,7 +413,7 @@ def test_deepest_walks_prove_the_closed_form(kind, r, limit, want):
     (Kind.WEAK, 9, 4),
 ])
 def test_deepest_maximal_enumerations(kind, r, count):
-    witnesses = enumerate_maximal(kind, r)
+    witnesses = enumerate_maximal(kind, r).report.witnesses
     assert len(witnesses) == count
     for w in witnesses:
         assert (w.n, w.r) == (gs_number(r, kind).value - 1, r)
