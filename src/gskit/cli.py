@@ -251,16 +251,15 @@ def cmd_decompose(args) -> int:
 # Most colors search takes.  The search packs r bits per position into
 # each mask, and keeps one mask per color class at that width, so time
 # per node grows with r times the depth and memory with r^2 times the
-# depth: at r = 64, --budget 20,000 takes about 1.6 s and 45 MB, and
-# --budget 100,000 about 38 s and 137 MB (1.1x and 1.6x the time of one
-# mask per color).  An exhaustive answer is within reach only for r of
-# about 10 and below.
+# depth: at r = 64, --budget 20,000 takes about 2.1 s and 45 MB, and
+# --budget 100,000 about 62 s and 138 MB.  An exhaustive answer is within
+# reach only for r of about 10 and below.
 MAX_SEARCH_R = 64
 
 
 def cmd_search(args) -> int:
-    from .search import SearchConfig, SearchMode, enumerate_maximal, max_order
-    from .search import report_json, run_search, walk_limit
+    from .search import SearchConfig, SearchMode, check_parallelism, enumerate_maximal
+    from .search import max_order, report_json, run_search, walk_limit
 
     if args.r < 1:
         raise UsageError("--r must be at least 1")
@@ -277,8 +276,7 @@ def cmd_search(args) -> int:
     # --streak is checked in every mode; a fixed --n is its own ceiling.
     limit = walk_limit(kind, args.r, args.limit if args.n is None else args.n, args.streak)
     # Checked in every mode, after the flags above and before any search.
-    if workers < 1:
-        raise UsageError("worker count must be positive")
+    check_parallelism(workers, args.split_depth)
 
     if args.max_order:
         m_max, confirmed = max_order(

@@ -20,7 +20,9 @@ color updates every color's lane with a few whole-integer operations
 The search is one loop over an explicit stack that holds only branch
 points, the nodes with an allowed color not yet tried.  Most nodes allow
 exactly one color; they get no stack entry, and a dead end returns to the
-last branch point in one step.
+last branch point in one step.  Every placement a dead end undoes lies at
+or above that branch point, so cutting the masks down to the rows below
+it undoes them all at once.
 
 The sequential depth-first order is the reference semantics.  A run can be
 split into independent subtree tasks below a fixed prefix depth; merging
@@ -39,7 +41,6 @@ import time
 from enum import Enum
 
 from .core import Coloring, Kind, Record, _set
-from .construct import gs_number
 
 
 class SearchMode(Enum):
@@ -141,6 +142,9 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
     node_budget = cfg.node_budget
     wall_budget = cfg.wall_budget
     deadline = None if wall_budget is None else time.monotonic() + wall_budget
+    # Positions past `stop` are frontier entries, and past n leaves.
+    stop = n + 1 if stop_depth is None else stop_depth
+    last = min(stop, n)
 
     # Every mask packs r lanes per row: bit j * r + k - 1 is color k at
     # row j.  At the node that colors position pos, `forbid` has that bit
@@ -160,10 +164,80 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
     rows = 0
     not_lane: list[int] = []
 
-    def place(pos: int, color: int, forbid: int) -> int:
-        nonlocal others, rows, not_lane
+    witnesses: list[tuple[int, ...]] = []
+    frontier: list[tuple[int, ...]] = []
+    nodes = 0
+    # Positions 1 .. forced replay the prefix: checked, but neither counted
+    # nor recorded in `deepest`, which starts at `forced` for that reason.
+    forced = len(prefix)
+    deepest = forced
+    exhausted = True
+
+    # `path` holds the colors placed at 1 .. pos - 1, and (forbid, maxused)
+    # the state of the node at pos.  Most nodes allow one color only, so
+    # the stack keeps just the branch points: nodes with an allowed color
+    # not yet tried, as [pos, the untried colors as a bit set, forbid,
+    # maxused].  A dead end resumes the last one: it restores its forbid
+    # mask, and truncates `others` and every class it undoes a placement
+    # of to the rows below pos.
+    path: list[int] = []
+    forbid = 0
+    maxused = 0
+    pos = 1
+    stack: list[list] = []
+    while True:
+        if pos <= forced:
+            color = prefix[pos - 1]
+            if pos > n or not 1 <= color <= min(maxused + 1, r) or forbid >> color - 1 & 1:
+                raise ValueError(f"prefix is not a reachable search state at position {pos}")
+        else:
+            if pos > last:
+                if pos > stop:
+                    frontier.append(tuple(path))
+                elif maxused == r:
+                    witnesses.append(tuple(path))
+                    if first_witness:
+                        exhausted = False
+                        break
+                allowed = 0
+            elif maxused == r:
+                allowed = (forbid & lanes) ^ lanes
+            elif r - maxused > n - pos + 1:
+                allowed = 0
+            else:
+                candidates = (2 << maxused) - 1
+                allowed = (forbid & candidates) ^ candidates
+            if allowed:
+                low = allowed & -allowed
+                if allowed != low:
+                    stack.append([pos, allowed ^ low, forbid, maxused])
+            elif stack:
+                branch = stack[-1]
+                pos, allowed, forbid, maxused = branch
+                keep = (1 << pos * r) - 1
+                others &= keep
+                for c in set(path[pos - 1:]):
+                    classes[c - 1] &= keep
+                del path[pos - 1:]
+                low = allowed & -allowed
+                if allowed != low:
+                    branch[1] = allowed ^ low
+                else:
+                    stack.pop()
+            else:
+                break
+            if node_budget is not None and nodes >= node_budget:
+                exhausted = False
+                break
+            nodes += 1
+            if deadline is not None and nodes % _WALL_CHECK_INTERVAL == 0:
+                if time.monotonic() > deadline:
+                    exhausted = False
+                    break
+            color = low.bit_length()
+
         k = color - 1
-        if rows <= pos and rows <= n - pos:
+        if rows <= pos <= n - rows:
             # x needs rows 0 .. min(pos, n - pos) only, so not_lane grows
             # by doubling, from 64 rows, as the walk deepens instead of
             # covering n rows up front.
@@ -184,80 +258,9 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
             x = (others & not_lane[k]) ^ classes[k]
             others |= own[k] << shift
             classes[k] |= lanes << shift
-        if 2 * pos > n + 1:
-            # Rows past n - pos lie beyond n: drop them to keep masks short.
-            x &= (1 << (n - pos + 1) * r) - 1
-        return (forbid | x) >> r
-
-    forbid = 0
-    maxused = 0
-    for pos, color in enumerate(prefix, start=1):
-        if not 1 <= color <= min(maxused + 1, r) or forbid >> color - 1 & 1:
-            raise ValueError(f"prefix is not a reachable search state at position {pos}")
-        forbid = place(pos, color, forbid)
-        maxused = max(maxused, color)
-
-    witnesses: list[tuple[int, ...]] = []
-    frontier: list[tuple[int, ...]] = []
-    nodes = 0
-    deepest = 0
-    aborted = False
-    stopped_at_witness = False
-
-    # `path` holds the colors placed at 1 .. pos - 1, and (forbid, maxused)
-    # the state of the node at pos.  Most nodes allow one color only, so
-    # the stack keeps just the branch points: nodes with an allowed color
-    # not yet tried, as [pos, the untried colors as a bit set, forbid,
-    # maxused].  A dead end resumes the last one: it XORs the rows of the
-    # placements below it back out of `others` and `classes`, and restores
-    # its forbid mask at once.
-    path = list(prefix)
-    pos = len(path) + 1
-    stack: list[list] = []
-    while True:
-        if stop_depth is not None and pos > stop_depth:
-            frontier.append(tuple(path))
-            allowed = 0
-        elif pos > n:
-            if maxused == r:
-                witnesses.append(tuple(path))
-                if first_witness:
-                    stopped_at_witness = True
-                    break
-            allowed = 0
-        elif r - maxused > n - pos + 1:
-            allowed = 0
-        else:
-            candidates = (2 << maxused) - 1 if maxused < r else lanes
-            allowed = (forbid & candidates) ^ candidates
-        if allowed:
-            low = allowed & -allowed
-            if allowed != low:
-                stack.append([pos, allowed ^ low, forbid, maxused])
-        elif stack:
-            branch = stack[-1]
-            pos, allowed, forbid, maxused = branch
-            for p in range(len(path), pos - 1, -1):
-                k = path.pop() - 1
-                others ^= own[k] << p * r
-                classes[k] ^= lanes << p * r
-            low = allowed & -allowed
-            if allowed != low:
-                branch[1] = allowed ^ low
-            else:
-                stack.pop()
-        else:
-            break
-        if node_budget is not None and nodes >= node_budget:
-            aborted = True
-            break
-        nodes += 1
-        if deadline is not None and nodes % _WALL_CHECK_INTERVAL == 0:
-            if time.monotonic() > deadline:
-                aborted = True
-                break
-        color = low.bit_length()
-        forbid = place(pos, color, forbid)
+        # Rows of x past n - pos (sums past n) are kept: they reach row 0
+        # only past n, and masking them off costs more than carrying them.
+        forbid = (forbid | x) >> r
         path.append(color)
         if color > maxused:
             maxused = color
@@ -265,12 +268,7 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
             deepest = pos
         pos += 1
 
-    exhausted = not aborted and not stopped_at_witness
-    return witnesses, nodes, exhausted, frontier, deepest
-
-
-def _as_colorings(cfg: SearchConfig, raw: list[tuple[int, ...]]) -> tuple[Coloring, ...]:
-    return tuple(Coloring(n=cfg.n, r=cfg.r, colors=w) for w in raw)
+    return witnesses, nodes, exhausted, frontier, deepest if deepest > forced else 0
 
 
 def exists_partition(cfg: SearchConfig) -> SearchReport:
@@ -295,24 +293,17 @@ def parallel_split(cfg: SearchConfig, depth: int) -> list[SubtreeTask]:
     """
     if depth < 0 or depth > cfg.n:
         raise ValueError(f"split depth must be in [0, {cfg.n}], got {depth}")
-    _, _, _, frontier, _ = _explore(_unbudgeted(cfg), (), depth)
+    unbudgeted = SearchConfig(kind=cfg.kind, r=cfg.r, n=cfg.n, mode=cfg.mode)
+    _, _, _, frontier, _ = _explore(unbudgeted, (), depth)
     return [SubtreeTask(config=cfg, prefix=p) for p in frontier]
 
 
 def run_task(task: SubtreeTask) -> SearchReport:
     """Search one subtree; nodes are counted strictly below the prefix."""
-    raw, nodes, exhausted, _, _ = _explore(task.config, task.prefix, None)
-    return SearchReport(
-        witnesses=_as_colorings(task.config, raw),
-        nodes_explored=nodes,
-        exhausted=exhausted,
-    )
-
-
-def _unbudgeted(cfg: SearchConfig) -> SearchConfig:
-    if cfg.node_budget is None and cfg.wall_budget is None:
-        return cfg
-    return SearchConfig(kind=cfg.kind, r=cfg.r, n=cfg.n, mode=cfg.mode)
+    cfg = task.config
+    raw, nodes, exhausted, _, _ = _explore(cfg, task.prefix, None)
+    witnesses = tuple(Coloring(n=cfg.n, r=cfg.r, colors=w) for w in raw)
+    return SearchReport(witnesses=witnesses, nodes_explored=nodes, exhausted=exhausted)
 
 
 def default_split_depth(cfg: SearchConfig) -> int:
@@ -321,6 +312,14 @@ def default_split_depth(cfg: SearchConfig) -> int:
     if cfg.n < 12:
         return 0
     return min(8, cfg.n // 3)
+
+
+def check_parallelism(workers: int, split_depth: int | None) -> None:
+    """Reject a worker count below 1 or a negative split depth."""
+    if workers < 1:
+        raise ValueError("worker count must be positive")
+    if split_depth is not None and split_depth < 0:
+        raise ValueError(f"split depth must be non-negative, got {split_depth}")
 
 
 def run_search(
@@ -339,10 +338,10 @@ def run_search(
     explored rather than each subtree separately.  So do runs on one
     worker or one CPU, and runs where `os.fork` is missing or other
     threads are running.  A split run starts at most min(workers, tasks,
-    CPUs) child processes.
+    CPUs) child processes.  A worker count below 1 or a negative split
+    depth raises ValueError before any search; a depth above n means n.
     """
-    if workers < 1:
-        raise ValueError("worker count must be positive")
+    check_parallelism(workers, split_depth)
     if cfg.mode is SearchMode.FIRST_WITNESS:
         return exists_partition(cfg)
     if cfg.node_budget is not None or cfg.wall_budget is not None:
@@ -355,7 +354,7 @@ def run_search(
         procs = 1
     depth = default_split_depth(cfg) if split_depth is None else split_depth
     depth = min(depth, cfg.n)
-    if procs == 1 or depth <= 0:
+    if procs == 1 or depth == 0:
         return exists_partition(cfg)
 
     _, shallow_nodes, _, frontier, _ = _explore(cfg, (), depth)
@@ -388,6 +387,8 @@ def walk_limit(kind: Kind, r: int, limit: int | None = None, streak: int = 5) ->
     below 1 by a negative streak is reported as such.
     """
     if limit is None:
+        from .construct import gs_number
+
         limit = gs_number(r, kind).value - 1 + streak
     if limit < 1:
         raise ValueError("limit must be positive")
@@ -417,14 +418,7 @@ def max_order(
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    cfg = SearchConfig(
-        kind=kind,
-        r=r,
-        n=limit,
-        mode=SearchMode.FIRST_WITNESS,
-        node_budget=node_budget,
-        wall_budget=wall_budget,
-    )
+    cfg = SearchConfig(kind, r, limit, SearchMode.FIRST_WITNESS, node_budget, wall_budget)
     raw, _, exhausted, _, deepest = _explore(cfg, (), None)
     return deepest, exhausted or bool(raw)
 
@@ -447,8 +441,10 @@ def enumerate_maximal(
     budgets apply to each phase separately, so the whole call may spend up
     to twice either one.  A budget never raises: the answer is proved only
     when `confirmed` is True and the report is exhausted, and whatever was
-    found is returned either way.
+    found is returned either way.  `workers` and `split_depth` are checked
+    as in `run_search`, before the walk.
     """
+    check_parallelism(workers, split_depth)
     limit = walk_limit(kind, r, limit, streak)
     m_max, confirmed = max_order(kind, r, limit, node_budget, wall_budget)
     report = None

@@ -443,6 +443,15 @@ def test_search_refuses_zero_workers(capsys, mode):
     assert capsys.readouterr() == ("", "error: worker count must be positive\n")
 
 
+@pytest.mark.parametrize("mode", [["--n", "17", "--enumerate"], ["--max-order"], ["--enumerate"]])
+def test_search_refuses_negative_split_depth(capsys, monkeypatch, mode):
+    # Checked before any search, in every mode.
+    monkeypatch.setattr("gskit.search._explore", None)
+    argv = ["search", "--kind", "weak", "--r", "3", "--workers", "2", "--split-depth", "-5"]
+    assert invoke(argv + mode + ["--json"]) == 2
+    assert capsys.readouterr() == ("", "error: split depth must be non-negative, got -5\n")
+
+
 def test_search_refuses_r_above_cap(capsys, monkeypatch):
     # Refused before GS(r) is computed or a forbid mask is built.
     monkeypatch.setattr("gskit.cli.gs_number", None)

@@ -120,6 +120,25 @@ def test_package_import_loads_no_layer():
     assert proc.stdout == "['gskit']\n['gskit', 'gskit.core']\ngskit.search\n"
 
 
+def test_search_layer_loads_construct_only_for_the_default_limit():
+    # A fixed order or limit needs no closed form, so the search layer
+    # leaves gskit.construct unloaded until walk_limit must compute GS(r).
+    script = (
+        "import sys\n"
+        "from gskit.core import Kind\n"
+        "from gskit.search import SearchConfig, SearchMode, run_search, walk_limit\n"
+        "run_search(SearchConfig(Kind.WEAK, 3, 13, SearchMode.ENUMERATE_ALL))\n"
+        "walk_limit(Kind.WEAK, 3, 13)\n"
+        "print('gskit.construct' in sys.modules)\n"
+        "walk_limit(Kind.WEAK, 3)\n"
+        "print('gskit.construct' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert proc.stdout == "False\nTrue\n"
+
+
 def test_exports_resolve_to_their_defining_layer():
     assert gskit.__all__ == sorted(set(gskit.__all__))
     for name in gskit.__all__:

@@ -254,6 +254,34 @@ def test_run_task_rejects_bad_prefix():
         run_task(SubtreeTask(config=cfg, prefix=(2,)))  # violates symmetry order
     with pytest.raises(ValueError):
         run_task(SubtreeTask(config=cfg, prefix=(1, 1)))  # monochromatic 1+1=2
+    with pytest.raises(ValueError, match="at position 5$"):
+        run_task(SubtreeTask(config=cfg, prefix=(1, 2, 2, 1, 1)))  # longer than n
+
+
+@pytest.mark.parametrize("mode", list(SearchMode))
+def test_run_search_checks_parallelism_before_searching(monkeypatch, mode):
+    monkeypatch.setattr("gskit.search._explore", None)
+    cfg = _cfg(Kind.WEAK, 3, 17, mode)
+    with pytest.raises(ValueError, match="^worker count must be positive$"):
+        run_search(cfg, workers=0)
+    with pytest.raises(ValueError, match="^split depth must be non-negative, got -5$"):
+        run_search(cfg, workers=2, split_depth=-5)
+
+
+@pytest.mark.parametrize("workers, split_depth, message", [
+    (0, None, "worker count must be positive"),
+    (-1, 2, "worker count must be positive"),
+    (2, -1, "split depth must be non-negative, got -1"),
+])
+def test_enumerate_maximal_checks_parallelism_before_the_walk(
+    monkeypatch, workers, split_depth, message
+):
+    def walk(*args, **kwargs):
+        raise AssertionError("max_order was called")
+
+    monkeypatch.setattr("gskit.search.max_order", walk)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        enumerate_maximal(Kind.STRONG, 9, workers=workers, split_depth=split_depth)
 
 
 def test_default_split_depth_is_config_pure():
@@ -380,8 +408,8 @@ def test_engine_matches_naive_tree_walk():
     (Kind.STRONG, 5, 124),
 ])
 def test_engine_matches_naive_dfs_at_larger_orders(kind, r, n):
-    # Deep enough for the packed masks to grow and for the rows past n to
-    # be cut off in the second half of the order.
+    # Deep enough for the packed masks to grow and for rows past n to be
+    # carried through the second half of the order.
     depth = 12
     _, _, _, shallow, _ = naive_dfs(kind.value, r, n, "enumerate-all", None, depth, ())
     prefixes = [()] + shallow[:: max(1, len(shallow) // 3)][:3]
@@ -396,14 +424,17 @@ def test_engine_matches_naive_dfs_at_larger_orders(kind, r, n):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("kind, r, limit, want", [
-    (Kind.STRONG, 10, 3129, (3124, True)),
-    (Kind.WEAK, 9, 2254, (2249, True)),
+@pytest.mark.parametrize("kind, r, limit, nodes, deepest", [
+    (Kind.STRONG, 10, 3129, 108_325, 3_124),
+    (Kind.WEAK, 9, 2254, 161_650, 2_249),
 ])
-def test_deepest_walks_prove_the_closed_form(kind, r, limit, want):
-    # Orders in the thousands, where the packed masks are widest.
+def test_deepest_walks_prove_the_closed_form(kind, r, limit, nodes, deepest):
+    # Orders in the thousands, where the packed masks are widest: the
+    # dead-end undo and the second half of the order run at widths the
+    # _PINNED cases never reach, so the whole walk is pinned too.
     # Deselected by default; run with `pytest -m slow`.
-    assert max_order(kind, r, limit) == want
+    assert _explore(_cfg(kind, r, limit), (), None) == ([], nodes, True, [], deepest)
+    assert max_order(kind, r, limit) == (deepest, True)
 
 
 @pytest.mark.slow
