@@ -33,7 +33,6 @@ from .core import (
 from .construct import (
     BASE_CATALOGUE,
     PatternError,
-    apply_mappings,
     base_by_name,
     five_fold,
     gs_number,

@@ -12,18 +12,19 @@ resp. two, and act on g = order + 1 by doubling resp. quintupling.
 Both mappings are total functions on colorings (preservation needs a valid
 input, application does not).  Their inverses demand the full structural
 pattern on every position and report the first position breaking it.
+Maps and inverses read each pattern from one table, `_PATTERNS`.
 
 Maximal partitions with at most three colors form a small catalogue:
 strong B1, B2, B3A, B3B and weak C1, C2, C3.  Chaining the five-fold
-construction from the right base (with at most one two-fold step, already
-folded into the odd-r bases) produces a maximal partition for every r,
-whose order is given in closed form by `gs_number`.
+construction from the right base (weak C3 holds the only two-fold step)
+produces a maximal partition for every r, whose order is given in closed
+form by `gs_number`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import Coloring, Kind, Record, _set
 
@@ -54,15 +55,80 @@ class GsFunctionValue(Record):
         _set(self, "value", value)
 
 
+class _Pattern(NamedTuple):
+    """A construction's pattern, read by its map and its inverse: position
+    x of an image of [1, m] has color `fixed[x % period - 1]`, and position
+    period * k the color of k plus max(fixed), so past every fixed color.
+    The image has order period * m + period - 1."""
+
+    period: int
+    fixed: tuple[int, ...]
+    order_error: str
+    fixed_error: str
+    image_error: str
+    small_error: str
+
+
+_PATTERNS = {
+    MappingTag.TWO_FOLD: _Pattern(
+        2, (1,),
+        "order {n} is even; a two-fold image has odd order",
+        "position {x} is odd but has color {v}, expected {want}",
+        "position {x} is even but has color {v}",
+        "a two-fold image has at least 2 colors and order >= 3",
+    ),
+    MappingTag.FIVE_FOLD: _Pattern(
+        5, (1, 2, 2, 1),
+        "order {n} is not congruent 4 mod 5, so not a five-fold image",
+        "position {x} has color {v}, expected {want} (residue {m} mod 5)",
+        "position {x} is a multiple of 5 but has color {v}",
+        "a five-fold image has at least 3 colors and order >= 9",
+    ),
+}
+
+
+def _forward(tag: MappingTag, c: Coloring) -> Coloring:
+    period, fixed = _PATTERNS[tag][:2]
+    shift = max(fixed)
+    out = [*fixed, 0] * c.n + [*fixed]
+    out[period - 1::period] = [v + shift for v in c.colors]
+    return Coloring(n=period * c.n + period - 1, r=c.r + shift, colors=tuple(out))
+
+
+def _inverse(tag: MappingTag, q: Coloring) -> Coloring:
+    period, fixed, order_error, fixed_error, image_error, small_error = _PATTERNS[tag]
+    shift = max(fixed)
+    if q.n % period != period - 1:
+        raise PatternError(order_error.format(n=q.n))
+    # Each fixed residue has (n + 1) / period positions; no image position
+    # may hold a fixed color.
+    size = (q.n + 1) // period
+    image = q.colors[period - 1::period]
+    if min(image, default=shift + 1) <= shift or any(
+        q.colors[i::period].count(want) != size for i, want in enumerate(fixed)
+    ):
+        # Only here, once the whole-sequence check has failed, is the
+        # offending position looked for.
+        for x, v in enumerate(q.colors, start=1):
+            m = x % period
+            if m and v != fixed[m - 1]:
+                message = fixed_error.format(x=x, v=v, want=fixed[m - 1], m=m)
+                raise PatternError(message, position=x)
+            if not m and v <= shift:
+                raise PatternError(image_error.format(x=x, v=v), position=x)
+    if q.r <= shift or q.n < 2 * period - 1:
+        raise PatternError(small_error)
+    colors = tuple([v - shift for v in image])
+    return Coloring(n=size - 1, r=q.r - shift, colors=colors)
+
+
 def two_fold(p: Coloring) -> Coloring:
     """Map a coloring of [1, n] to one of [1, 2n+1] with one extra color.
 
     Odd positions get color 1; even position 2k gets the color of k plus
     one.  Canonical inputs give canonical outputs.
     """
-    out = [1] * (2 * p.n + 1)
-    out[1::2] = [v + 1 for v in p.colors]
-    return Coloring(n=2 * p.n + 1, r=p.r + 1, colors=tuple(out))
+    return _forward(MappingTag.TWO_FOLD, p)
 
 
 def five_fold(p: Coloring) -> Coloring:
@@ -72,9 +138,7 @@ def five_fold(p: Coloring) -> Coloring:
     position 5k gets the color of k plus two.  Canonical inputs give
     canonical outputs.
     """
-    out = [1, 2, 2, 1, 0] * p.n + [1, 2, 2, 1]
-    out[4::5] = [v + 2 for v in p.colors]
-    return Coloring(n=5 * p.n + 4, r=p.r + 2, colors=tuple(out))
+    return _forward(MappingTag.FIVE_FOLD, p)
 
 
 def inverse_two_fold(q: Coloring) -> Coloring:
@@ -83,26 +147,7 @@ def inverse_two_fold(q: Coloring) -> Coloring:
     Requires odd n >= 3, color 1 exactly on the odd positions, and r >= 2.
     Raises PatternError naming the first offending position otherwise.
     """
-    if q.n % 2 == 0:
-        raise PatternError(f"order {q.n} is even; a two-fold image has odd order")
-    odd, even = q.colors[0::2], q.colors[1::2]
-    if odd.count(1) != len(odd) or 1 in even:
-        # Only here, once the whole-sequence check has failed, is the
-        # offending position looked for.
-        for x in range(1, q.n + 1):
-            v = q.color_of(x)
-            if x % 2 == 1 and v != 1:
-                raise PatternError(
-                    f"position {x} is odd but has color {v}, expected 1", position=x
-                )
-            if x % 2 == 0 and v == 1:
-                raise PatternError(
-                    f"position {x} is even but has color 1", position=x
-                )
-    if q.r < 2 or q.n < 3:
-        raise PatternError("a two-fold image has at least 2 colors and order >= 3")
-    colors = tuple([v - 1 for v in even])
-    return Coloring(n=(q.n - 1) // 2, r=q.r - 1, colors=colors)
+    return _inverse(MappingTag.TWO_FOLD, q)
 
 
 def inverse_five_fold(q: Coloring) -> Coloring:
@@ -112,50 +157,14 @@ def inverse_five_fold(q: Coloring) -> Coloring:
     mod 5, color 2 exactly on residues 2 and 3, and r >= 3.  Raises
     PatternError naming the first offending position otherwise.
     """
-    if q.n % 5 != 4:
-        raise PatternError(
-            f"order {q.n} is not congruent 4 mod 5, so not a five-fold image"
-        )
-    # Residues 1, 2, 3 and 4 mod 5 each have (n + 1) / 5 positions.
-    size = (q.n + 1) // 5
-    image = q.colors[4::5]
-    if (
-        any(q.colors[i::5].count(v) != size for i, v in ((0, 1), (1, 2), (2, 2), (3, 1)))
-        or 1 in image
-        or 2 in image
-    ):
-        # Only here, once the whole-sequence check has failed, is the
-        # offending position looked for.
-        for x in range(1, q.n + 1):
-            v = q.color_of(x)
-            m = x % 5
-            if m in (1, 4):
-                if v != 1:
-                    raise PatternError(
-                        f"position {x} has color {v}, expected 1 (residue {m} mod 5)",
-                        position=x,
-                    )
-            elif m in (2, 3):
-                if v != 2:
-                    raise PatternError(
-                        f"position {x} has color {v}, expected 2 (residue {m} mod 5)",
-                        position=x,
-                    )
-            elif v in (1, 2):
-                raise PatternError(
-                    f"position {x} is a multiple of 5 but has color {v}", position=x
-                )
-    if q.r < 3 or q.n < 9:
-        raise PatternError("a five-fold image has at least 3 colors and order >= 9")
-    colors = tuple([v - 2 for v in image])
-    return Coloring(n=(q.n - 4) // 5, r=q.r - 2, colors=colors)
+    return _inverse(MappingTag.FIVE_FOLD, q)
 
 
 def apply_mappings(base: Coloring, tags: Iterable[MappingTag]) -> Coloring:
     """Apply a chain of constructions to a base, innermost tag first."""
     c = base
     for tag in tags:
-        c = two_fold(c) if tag is MappingTag.TWO_FOLD else five_fold(c)
+        c = _forward(tag, c)
     return c
 
 
@@ -215,29 +224,20 @@ def gs_number(r: int, kind: Kind) -> GsFunctionValue:
 def maximal_partition(r: int, kind: Kind) -> Coloring:
     """A maximal Gallai-Schur partition with exactly r colors.
 
-    Starts from the catalogue base matching the parity of r and applies the
-    five-fold construction the remaining number of times, so at most one
-    two-fold step appears (folded into B3B-free odd bases B3A and C3).  The
-    result is canonical, has order gs_number(r, kind) - 1, and passes the
+    Starts from the catalogue base of the same kind whose color count has
+    the parity of r (strong B2 or B1; weak C2, or C3 for odd r > 1 and C1
+    for r = 1) and applies the five-fold construction (r - base.r) / 2
+    times; weak C3 is the only base holding a two-fold step.  The result
+    is canonical, has order gs_number(r, kind) - 1, and passes the
     verifier for its kind.
     """
     if r < 1:
         raise ValueError(f"color count must be positive, got {r}")
     if kind is Kind.STRONG:
-        if r == 1:
-            name, steps = "B1", 0
-        elif r % 2 == 0:
-            name, steps = "B2", (r - 2) // 2
-        else:
-            name, steps = "B3A", (r - 3) // 2
+        name = "B1" if r % 2 else "B2"
     else:
-        if r == 1:
-            name, steps = "C1", 0
-        elif r % 2 == 0:
-            name, steps = "C2", (r - 2) // 2
-        else:
-            name, steps = "C3", (r - 3) // 2
+        name = "C1" if r == 1 else "C3" if r % 2 else "C2"
     _, c = base_by_name(name)
-    for _ in range(steps):
+    for _ in range((r - c.r) // 2):
         c = five_fold(c)
     return c

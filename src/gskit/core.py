@@ -220,16 +220,7 @@ def _parse_compact(text: str) -> Coloring:
         line = line[:-1]
     if not line:
         raise ParseError("empty input", position=1)
-    colors = _positive_decimals(line)
-    if colors is None:
-        # Only once the whole-line check has failed is the offending
-        # position looked for.
-        for pos, ch in enumerate(line, start=1):
-            if not "0" <= ch <= "9":
-                raise ParseError(f"invalid character {ch!r} at position {pos}", position=pos)
-            if ch == "0":
-                raise ParseError(f"color 0 at position {pos}; colors start at 1", position=pos)
-    return Coloring.from_colors(colors)
+    return Coloring.from_colors(_positive_decimals(line, _COMPACT_ERRORS))
 
 
 def _parse_file_form(text: str) -> tuple[Coloring, Kind]:
@@ -254,32 +245,44 @@ def _parse_file_form(text: str) -> tuple[Coloring, Kind]:
     tokens = lines[1].split(" ")
     if len(tokens) != n:
         raise ParseError(f"expected {n} entries, got {len(tokens)}", position=2)
-    colors = _positive_decimals(tokens)
-    if colors is None:
-        # Only once the whole-line check has failed is the offending
-        # entry looked for.
-        for pos, tok in enumerate(tokens, start=1):
-            if not (tok.isascii() and tok.isdigit()):
-                raise ParseError(f"entry {pos} is not a decimal number: {tok!r}", position=pos)
-            if int(tok) < 1:
-                raise ParseError(f"entry {pos} is 0; colors start at 1", position=pos)
+    colors = _positive_decimals(tokens, _FILE_FORM_ERRORS)
     return Coloring(n=n, r=r, colors=colors), kind
 
 
-def _positive_decimals(tokens) -> tuple[int, ...] | None:
-    """The tokens as ints when each is a positive ASCII decimal, else None.
+# How each text form words a bad token, by what is wrong with it.  A
+# compact token is one character, so it never has too many digits.
+_COMPACT_ERRORS = {
+    "junk": "invalid character {tok!r} at position {pos}",
+    "zero": "color 0 at position {pos}; colors start at 1",
+}
+_FILE_FORM_ERRORS = {
+    "junk": "entry {pos} is not a decimal number: {tok!r}",
+    "zero": "entry {pos} is 0; colors start at 1",
+    "long": "entry {pos} has too many digits",
+}
 
-    Each distinct token is checked and converted once.
+
+def _positive_decimals(tokens, errors: dict[str, str]) -> tuple[int, ...]:
+    """The tokens as ints, each a positive ASCII decimal.
+
+    Each distinct token is checked and converted once.  Otherwise a
+    ParseError names the first bad token, worded by `errors`.
     """
-    distinct = set(tokens)
-    if not all(t.isascii() and t.isdigit() for t in distinct):
-        return None
-    try:
-        values = {t: int(t) for t in distinct}
-    except ValueError:  # too many digits to convert
-        return None
-    if min(values.values()) < 1:
-        return None
+    values, bad = {}, {}
+    for t in set(tokens):
+        if not (t.isascii() and t.isdigit()):
+            bad[t] = "junk"
+        elif not t.lstrip("0"):
+            bad[t] = "zero"
+        else:
+            try:
+                values[t] = int(t)
+            except ValueError:  # more digits than int() converts
+                bad[t] = "long"
+    if bad:
+        pos = min(map(tokens.index, bad)) + 1
+        tok = tokens[pos - 1]
+        raise ParseError(errors[bad[tok]].format(pos=pos, tok=tok), position=pos)
     return tuple(map(values.__getitem__, tokens))
 
 

@@ -1,19 +1,16 @@
 """Structural classification and decomposition of partitions.
 
-A canonical coloring is a two-fold image when its order is odd (and at
-least 3) and color 1 sits exactly on the odd positions; it is a five-fold
-image when its order is 4 mod 5 (and at least 9), color 1 sits exactly on
-residues 1 and 4 mod 5, color 2 exactly on residues 2 and 3, and every
-other color only on multiples of 5.  Maximal Gallai-Schur partitions with
-more than three colors always match one of the two patterns, so repeatedly
-peeling the matching inverse walks any of them down to a catalogue base.
+A canonical coloring is a two-fold or five-fold image when it matches
+that construction's pattern in the `construct` table.  Maximal
+Gallai-Schur partitions with more than three colors always match one of
+the two, so repeatedly peeling the matching inverse walks any of them
+down to a catalogue base.
 
 Peeling here is purely structural: whenever the global pattern validates,
 the inverse is well defined and is applied, maximal or not (B3A peels to
 B1, for instance).  The stopping rule is "no pattern matches", never a
-color-count threshold.  The patterns themselves are written once, in
-the inverse mappings of `construct`; a PatternError from an inverse means
-"not this image".
+color-count threshold.  A PatternError from an inverse means "not this
+image".
 """
 
 from __future__ import annotations
@@ -74,7 +71,7 @@ def _outer_layer(c: Coloring) -> tuple[MappingTag, Coloring] | None:
 
 def _require_canonical(c: Coloring):
     if not is_canonical(c):
-        raise ValueError("classify requires a canonical coloring")
+        raise ValueError("expected a canonical coloring")
 
 
 def classify(c: Coloring) -> StructureClass:
@@ -128,8 +125,7 @@ def verify_image_structure(c: Coloring, kind: Kind) -> bool:
     colors.  Returns True when c matches one of the two image patterns and
     its peeled preimage again passes the verifier.
     """
-    if not is_canonical(c):
-        raise ValueError("expected a canonical coloring")
+    _require_canonical(c)
     if c.r <= 3:
         raise ValueError("image structure is only asserted for r > 3")
     if not check_partition(c, kind).ok:

@@ -60,6 +60,15 @@ def test_verify_accepts_ascii_digits_only(capsys, monkeypatch, text, message):
     assert captured.err == f"input error: {message}\n"
 
 
+def test_verify_names_an_entry_too_long_to_convert(capsys, monkeypatch):
+    # Past int()'s digit limit the entry is named, not Python's own text.
+    text = "gspartition v1 kind=weak r=2 n=3\n1 " + "2" * 5000 + " 1\n"
+    assert invoke(["verify", "-"], monkeypatch, text) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: entry 2 has too many digits\n"
+
+
 def test_verify_all_witnesses(capsys):
     assert invoke(["verify", "111", "--kind", "strong", "--all-witnesses"]) == 1
     out = capsys.readouterr().out

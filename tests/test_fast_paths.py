@@ -1,10 +1,10 @@
 """Whole-sequence fast paths against the per-position oracles.
 
 Parsing, the constructions, their inverses and the canonical form each
-check or build a whole sequence at once and fall back to a per-position
-loop only to name an error.  These tests pin both halves to the naive
-definitions in oracle.py: the accepted inputs and outputs, and the
-position every error names.
+check or build a whole sequence at once and look for the offending
+position only once that check has failed.  These tests pin both halves
+to the naive definitions in oracle.py: the accepted inputs and outputs,
+and the position every error names.
 """
 
 from __future__ import annotations
@@ -114,8 +114,10 @@ def test_file_form_token_too_long_to_convert():
     huge = "9" * 5000
     with pytest.raises(ParseError, match="entry 1 is 0"):
         parse_coloring_with_kind(_file_text(["0", huge]))
-    with pytest.raises(ValueError, match="4300"):
+    with pytest.raises(ParseError) as info:
         parse_coloring_with_kind(_file_text(["1", huge]))
+    assert info.value.position == 2
+    assert str(info.value) == "entry 2 has too many digits"
 
 
 def _colorings(max_n=40, max_r=5):

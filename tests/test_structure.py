@@ -49,6 +49,19 @@ def test_classify_requires_canonical():
         decompose_full(parse_coloring("2112"))
 
 
+@pytest.mark.parametrize("call", [
+    classify,
+    peel,
+    decompose_full,
+    lambda c: verify_image_structure(c, Kind.STRONG),
+])
+def test_non_canonical_input_message_names_no_caller(call):
+    # One check and one message, whichever entry point was called.
+    with pytest.raises(ValueError) as info:
+        call(parse_coloring("2112"))
+    assert str(info.value) == "expected a canonical coloring"
+
+
 def test_classify_image_patterns_are_exact():
     base = parse_coloring("1221")
     image = five_fold(base)
