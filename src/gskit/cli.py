@@ -32,7 +32,9 @@ from .core import (
 )
 from .construct import (
     BASE_CATALOGUE,
+    MappingTag,
     PatternError,
+    _order,
     base_by_name,
     five_fold,
     gs_number,
@@ -169,12 +171,12 @@ def cmd_table(args) -> int:
 # strong r <= 18 and weak r <= 17.
 MAX_CONSTRUCT_ORDER = 2_000_000
 
-# Each step with the order it maps n to.
+# Each step with its construction and whether it inverts it.
 _APPLY_STEPS = {
-    "2": (two_fold, lambda n: 2 * n + 1),
-    "5": (five_fold, lambda n: 5 * n + 4),
-    "i2": (inverse_two_fold, lambda n: (n - 1) // 2),
-    "i5": (inverse_five_fold, lambda n: (n - 4) // 5),
+    "2": (two_fold, MappingTag.TWO_FOLD, False),
+    "5": (five_fold, MappingTag.FIVE_FOLD, False),
+    "i2": (inverse_two_fold, MappingTag.TWO_FOLD, True),
+    "i5": (inverse_five_fold, MappingTag.FIVE_FOLD, True),
 }
 
 
@@ -209,7 +211,8 @@ def cmd_construct(args) -> int:
     steps = args.apply or []
     order = current.n
     for step in steps:
-        order = _APPLY_STEPS[step][1](order)
+        _, tag, inverse = _APPLY_STEPS[step]
+        order = _order(tag, order, inverse)
         _check_construct_order(order, f"--apply {step}")
     for step in steps:
         current = _APPLY_STEPS[step][0](current)
@@ -461,19 +464,13 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except UsageError as e:
-        _err(f"error: {e}")
-        return 2
     except ParseError as e:
         _err(f"input error: {e}")
         return 2
     except PatternError as e:
         _err(f"structure error: {e}")
         return 1
-    except ValueError as e:
-        _err(f"error: {e}")
-        return 2
-    except OSError as e:
+    except (UsageError, ValueError, OSError) as e:
         _err(f"error: {e}")
         return 2
     except RuntimeError as e:

@@ -59,7 +59,7 @@ class _Pattern(NamedTuple):
     """A construction's pattern, read by its map and its inverse: position
     x of an image of [1, m] has color `fixed[x % period - 1]`, and position
     period * k the color of k plus max(fixed), so past every fixed color.
-    The image has order period * m + period - 1."""
+    The image has the order `_order` gives."""
 
     period: int
     fixed: tuple[int, ...]
@@ -87,12 +87,19 @@ _PATTERNS = {
 }
 
 
+def _order(tag: MappingTag, n: int, inverse: bool = False) -> int:
+    """Order of the image of [1, n] under `tag`'s construction, or with
+    `inverse` of its preimage: the map multiplies n + 1 by the period."""
+    period = _PATTERNS[tag].period
+    return (n + 1) // period - 1 if inverse else period * (n + 1) - 1
+
+
 def _forward(tag: MappingTag, c: Coloring) -> Coloring:
     period, fixed = _PATTERNS[tag][:2]
     shift = max(fixed)
     out = [*fixed, 0] * c.n + [*fixed]
     out[period - 1::period] = [v + shift for v in c.colors]
-    return Coloring(n=period * c.n + period - 1, r=c.r + shift, colors=tuple(out))
+    return Coloring(n=_order(tag, c.n), r=c.r + shift, colors=tuple(out))
 
 
 def _inverse(tag: MappingTag, q: Coloring) -> Coloring:
@@ -100,12 +107,12 @@ def _inverse(tag: MappingTag, q: Coloring) -> Coloring:
     shift = max(fixed)
     if q.n % period != period - 1:
         raise PatternError(order_error.format(n=q.n))
-    # Each fixed residue has (n + 1) / period positions; no image position
-    # may hold a fixed color.
-    size = (q.n + 1) // period
+    # Each fixed residue has order + 1 positions, as n + 1 = period *
+    # (order + 1); no image position may hold a fixed color.
+    order = _order(tag, q.n, inverse=True)
     image = q.colors[period - 1::period]
     if min(image, default=shift + 1) <= shift or any(
-        q.colors[i::period].count(want) != size for i, want in enumerate(fixed)
+        q.colors[i::period].count(want) != order + 1 for i, want in enumerate(fixed)
     ):
         # Only here, once the whole-sequence check has failed, is the
         # offending position looked for.
@@ -119,7 +126,7 @@ def _inverse(tag: MappingTag, q: Coloring) -> Coloring:
     if q.r <= shift or q.n < 2 * period - 1:
         raise PatternError(small_error)
     colors = tuple([v - shift for v in image])
-    return Coloring(n=size - 1, r=q.r - shift, colors=colors)
+    return Coloring(n=order, r=q.r - shift, colors=colors)
 
 
 def two_fold(p: Coloring) -> Coloring:

@@ -195,20 +195,20 @@ def decode(model: list[int], n: int, r: int) -> Coloring:
     """
     if r > n:
         raise ValueError(f"r={r} exceeds n={n}; a partition of [1, n] has at most n colors")
-    positive: set[int] = set()
+    # Each position's colors, keyed by position: see `var_index`.
+    hits: dict[int, set[int]] = {}
     for lit in model:
         if lit == 0 or abs(lit) > n * r:
             raise ValueError(f"literal {lit} outside variable range 1..{n * r}")
         if lit > 0:
-            positive.add(lit)
+            v, i = divmod(lit - 1, r)
+            hits.setdefault(v + 1, set()).add(i + 1)
     colors = []
     for v in range(1, n + 1):
-        hits = [i for i in range(1, r + 1) if var_index(v, i, r) in positive]
-        if len(hits) != 1:
-            raise ValueError(
-                f"model assigns {len(hits)} colors to {v}; exactly one required"
-            )
-        colors.append(hits[0])
+        found = hits.get(v, ())
+        if len(found) != 1:
+            raise ValueError(f"model assigns {len(found)} colors to {v}; exactly one required")
+        colors.extend(found)
     return Coloring(n=n, r=r, colors=tuple(colors))
 
 

@@ -24,13 +24,16 @@ last branch point in one step.  Every placement a dead end undoes lies at
 or above that branch point, so cutting the masks down to the rows below
 it undoes them all at once.
 
-The sequential depth-first order is the reference semantics.  A run can be
-split into independent subtree tasks below a fixed prefix depth; merging
-task results in prefix order reproduces the sequential report exactly, so
-worker count and scheduling never change the output.  Split tasks run on
-child processes started with `os.fork` (see `gskit.pool`).  Runs with a
-budget, first-witness runs, runs on one worker or one CPU, and runs where
-`os.fork` is missing are sequential and never split.
+The sequential depth-first order is the reference semantics.  One
+driver, `_drive`, walks the tree in one piece or splits it into subtree
+tasks below a fixed prefix depth, and merges the tasks' `_Walk` records
+with the shallow walk above them by one rule per field: witnesses
+concatenate in prefix order, nodes add, the run is exhausted when every
+task is, and the deepest order is the max.  The merge equals the
+sequential walk, so worker count never changes the output.  Split tasks
+run on child processes started with `os.fork` (see `gskit.pool`).
+First-witness runs, runs with a budget, runs on one worker or one CPU,
+and runs where `os.fork` is missing are never split.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import os
 import sys
 import time
 from enum import Enum
+from typing import NamedTuple
 
 from .core import Coloring, Kind, Record, _set
 
@@ -120,21 +124,27 @@ class MaximalReport(Record):
         _set(self, "report", report)
 
 
+class _Walk(NamedTuple):
+    """What one walk found.  `nodes` counts assignments strictly below its
+    prefix; `deepest` is the largest order below it shown feasible, or 0."""
+
+    witnesses: list[tuple[int, ...]]
+    nodes: int
+    exhausted: bool
+    frontier: list[tuple[int, ...]]
+    deepest: int
+
+
 _WALL_CHECK_INTERVAL = 64
 
 
-def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None):
+def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None) -> _Walk:
     """Depth-first engine behind every search entry point.
 
     Replays `prefix` (validating it), then explores below it with a loop
     over an explicit stack of branch points, so orders in the thousands
     need no recursion.  With `stop_depth` set, descent stops there and the
-    valid assignments of that length are collected as the frontier
-    instead of being expanded.  Returns (witnesses, nodes, exhausted,
-    frontier, deepest): nodes counts accepted assignments strictly below
-    the prefix, and deepest is the largest position assigned while all r
-    colors are in use, i.e. the largest order up to n that the explored
-    part of the tree shows feasible.
+    valid assignments of that length make up the frontier, unexpanded.
     """
     n, r = cfg.n, cfg.r
     strong = cfg.kind is Kind.STRONG
@@ -268,7 +278,13 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
             deepest = pos
         pos += 1
 
-    return witnesses, nodes, exhausted, frontier, deepest if deepest > forced else 0
+    return _Walk(witnesses, nodes, exhausted, frontier, deepest if deepest > forced else 0)
+
+
+def _report(cfg: SearchConfig, walk: _Walk) -> SearchReport:
+    """The public form of a walk of `cfg`'s tree."""
+    witnesses = tuple(Coloring(n=cfg.n, r=cfg.r, colors=w) for w in walk.witnesses)
+    return SearchReport(witnesses=witnesses, nodes_explored=walk.nodes, exhausted=walk.exhausted)
 
 
 def exists_partition(cfg: SearchConfig) -> SearchReport:
@@ -279,7 +295,7 @@ def exists_partition(cfg: SearchConfig) -> SearchReport:
     every canonical witness in lexicographic order.  A fired budget yields
     an unexhausted report, never an error.
     """
-    return run_task(SubtreeTask(config=cfg, prefix=()))
+    return _report(cfg, _drive(cfg))
 
 
 def parallel_split(cfg: SearchConfig, depth: int) -> list[SubtreeTask]:
@@ -294,16 +310,17 @@ def parallel_split(cfg: SearchConfig, depth: int) -> list[SubtreeTask]:
     if depth < 0 or depth > cfg.n:
         raise ValueError(f"split depth must be in [0, {cfg.n}], got {depth}")
     unbudgeted = SearchConfig(kind=cfg.kind, r=cfg.r, n=cfg.n, mode=cfg.mode)
-    _, _, _, frontier, _ = _explore(unbudgeted, (), depth)
-    return [SubtreeTask(config=cfg, prefix=p) for p in frontier]
+    return [SubtreeTask(config=cfg, prefix=p) for p in _explore(unbudgeted, (), depth).frontier]
+
+
+def _walk_task(task: SubtreeTask) -> _Walk:
+    """Walk one subtree: the function a split run forks."""
+    return _explore(task.config, task.prefix, None)
 
 
 def run_task(task: SubtreeTask) -> SearchReport:
     """Search one subtree; nodes are counted strictly below the prefix."""
-    cfg = task.config
-    raw, nodes, exhausted, _, _ = _explore(cfg, task.prefix, None)
-    witnesses = tuple(Coloring(n=cfg.n, r=cfg.r, colors=w) for w in raw)
-    return SearchReport(witnesses=witnesses, nodes_explored=nodes, exhausted=exhausted)
+    return _report(task.config, _walk_task(task))
 
 
 def default_split_depth(cfg: SearchConfig) -> int:
@@ -322,61 +339,50 @@ def check_parallelism(workers: int, split_depth: int | None) -> None:
         raise ValueError(f"split depth must be non-negative, got {split_depth}")
 
 
+def _drive(cfg: SearchConfig, workers: int = 1, split_depth: int | None = None) -> _Walk:
+    """Walk `cfg`'s whole tree, in one piece or split as the module docstring says."""
+    procs = min(workers, os.cpu_count() or 1)
+    depth = default_split_depth(cfg) if split_depth is None else min(split_depth, cfg.n)
+    # A forked child gets a copy of every lock, but only the calling
+    # thread; with other threads running, one might hold a lock forever.
+    threading = sys.modules.get("threading")
+    if (cfg.mode is SearchMode.FIRST_WITNESS or cfg.node_budget is not None
+            or cfg.wall_budget is not None or procs == 1 or depth == 0
+            or not hasattr(os, "fork") or threading and threading.active_count() > 1):
+        return _explore(cfg, (), None)
+    shallow = _explore(cfg, (), depth)
+    tasks = [SubtreeTask(config=cfg, prefix=p) for p in shallow.frontier]
+    procs = min(procs, len(tasks))
+    if procs > 1:
+        from .pool import run_forked
+
+        walks = run_forked(_walk_task, tasks, procs)
+    else:
+        walks = [_walk_task(t) for t in tasks]
+    return _Walk(
+        witnesses=[w for walk in walks for w in walk.witnesses],
+        nodes=shallow.nodes + sum(walk.nodes for walk in walks),
+        exhausted=all(walk.exhausted for walk in walks),
+        frontier=[],
+        deepest=max([shallow.deepest] + [walk.deepest for walk in walks]),
+    )
+
+
 def run_search(
     cfg: SearchConfig, workers: int = 1, split_depth: int | None = None
 ) -> SearchReport:
     """Run a search, optionally on several worker processes.
 
-    The report is byte-for-byte identical for every worker count: the task
-    decomposition depends only on the config and split depth, tasks are
-    merged in prefix order, and first-witness runs always take the
-    sequential path.  Node totals equal the sequential count (the split
-    enumeration contributes the shallow nodes, each task the nodes below
-    its prefix).
-
-    Budgeted runs also go sequential, so a node budget caps the total
-    explored rather than each subtree separately.  So do runs on one
-    worker or one CPU, and runs where `os.fork` is missing or other
-    threads are running.  A split run starts at most min(workers, tasks,
-    CPUs) child processes.  A worker count below 1 or a negative split
-    depth raises ValueError before any search; a depth above n means n.
+    The report is byte-for-byte identical for every worker count, as the
+    split depends only on the config and split depth.  The module
+    docstring says which runs split; neither a budgeted run (so its budget
+    caps the whole run) nor one with other threads running ever does.  A
+    split run starts at most min(workers, tasks, CPUs) child processes.
+    A worker count below 1 or a negative split depth raises ValueError
+    before any search; a depth above n means n.
     """
     check_parallelism(workers, split_depth)
-    if cfg.mode is SearchMode.FIRST_WITNESS:
-        return exists_partition(cfg)
-    if cfg.node_budget is not None or cfg.wall_budget is not None:
-        return exists_partition(cfg)
-    procs = min(workers, os.cpu_count() or 1)
-    # A forked child gets a copy of every lock, but only the calling
-    # thread; with other threads running, one might hold a lock forever.
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
-        procs = 1
-    depth = default_split_depth(cfg) if split_depth is None else split_depth
-    depth = min(depth, cfg.n)
-    if procs == 1 or depth == 0:
-        return exists_partition(cfg)
-
-    _, shallow_nodes, _, frontier, _ = _explore(cfg, (), depth)
-    tasks = [SubtreeTask(config=cfg, prefix=p) for p in frontier]
-    procs = min(procs, len(tasks))
-    if procs > 1:
-        from .pool import run_forked
-
-        results = run_forked(run_task, tasks, procs)
-    else:
-        results = [run_task(t) for t in tasks]
-
-    witnesses: list[Coloring] = []
-    nodes = shallow_nodes
-    exhausted = True
-    for rep in results:
-        witnesses.extend(rep.witnesses)
-        nodes += rep.nodes_explored
-        exhausted = exhausted and rep.exhausted
-    return SearchReport(
-        witnesses=tuple(witnesses), nodes_explored=nodes, exhausted=exhausted
-    )
+    return _report(cfg, _drive(cfg, workers, split_depth))
 
 
 def walk_limit(kind: Kind, r: int, limit: int | None = None, streak: int = 5) -> int:
@@ -419,8 +425,8 @@ def max_order(
     if limit < 1:
         raise ValueError("limit must be positive")
     cfg = SearchConfig(kind, r, limit, SearchMode.FIRST_WITNESS, node_budget, wall_budget)
-    raw, _, exhausted, _, deepest = _explore(cfg, (), None)
-    return deepest, exhausted or bool(raw)
+    walk = _drive(cfg)
+    return walk.deepest, walk.exhausted or bool(walk.witnesses)
 
 
 def enumerate_maximal(

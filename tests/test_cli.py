@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gskit.cli import MAX_CNF_CLAUSES, MAX_CONSTRUCT_ORDER, MAX_GS_R, MAX_SEARCH_R, main
-from gskit.construct import five_fold, gs_number, two_fold
-from gskit.core import Kind, parse_coloring, parse_coloring_with_kind
+from gskit.cli import MAX_CNF_CLAUSES, MAX_CONSTRUCT_ORDER, MAX_GS_R, MAX_SEARCH_R, UsageError, main
+from gskit.construct import PatternError, five_fold, gs_number, two_fold
+from gskit.core import Kind, ParseError, parse_coloring, parse_coloring_with_kind
+from gskit.pool import WorkerError
 from gskit.satgen import clause_count, encode, to_dimacs
 
 
@@ -607,6 +608,28 @@ def test_closed_stdout_exits_quietly(argv, unbuffered):
         os.close(write_end)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("error, err, code", [
+    (BrokenPipeError("closed"), "", 0),
+    (UsageError("bad flag"), "error: bad flag\n", 2),
+    (ParseError("bad entry"), "input error: bad entry\n", 2),
+    (PatternError("bad image"), "structure error: bad image\n", 1),
+    (ValueError("bad value"), "error: bad value\n", 2),
+    (OSError("bad file"), "error: bad file\n", 2),
+    (WorkerError("dead worker"), "error: dead worker\n", 2),
+])
+def test_main_maps_each_error_to_one_line_and_a_code(
+    capsys, monkeypatch, tmp_path, error, err, code
+):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr("gskit.cli.cmd_table", fail)
+    # A file for stdout: a broken pipe points its descriptor at devnull.
+    with open(tmp_path / "out", "w") as out, contextlib.redirect_stdout(out):
+        assert main(["table"]) == code
+    assert capsys.readouterr() == ("", err)
 
 
 def test_console_entry_point():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
@@ -87,6 +88,21 @@ def test_decode_examples():
         decode([1, 2, -3, 4, -5, 6, 7, -8], 4, 2)  # two colors for 1
     with pytest.raises(ValueError):
         decode([9], 4, 2)  # out of range
+
+
+def test_decode_cost_follows_the_model_not_n_times_r():
+    # One positive literal per position: each is looked up by position
+    # instead of trying all r colors of every position, which at
+    # n = r = 20,000 would be 4 * 10^8 lookups.
+    n = r = 20_000
+    model = [var_index(v, (v - 1) % r + 1, r) for v in range(1, n + 1)]
+    start = time.process_time()
+    c = decode(model, n, r)
+    assert time.process_time() - start < 1.0
+    assert c.colors == tuple(range(1, n + 1))
+    # Nothing of size n is built up front: the scan stops at position 2.
+    with pytest.raises(ValueError, match="^model assigns 0 colors to 2; exactly one required$"):
+        decode([1], 10**9, 1)
 
 
 def test_encoding_equivalent_to_verifier_plus_nonempty():

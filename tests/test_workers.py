@@ -148,22 +148,41 @@ def _kill_self(task):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-@pytest.mark.parametrize("run_task, error, match", [
+@pytest.mark.parametrize("walk_task, error, match", [
     (_raise_value_error, ValueError, r"^bad task \("),
     (_raise_unpicklable, RuntimeError, r"^search worker failed: .*LocalError\('from a class pickle"),
     (_raise_unloadable, RuntimeError, r"^search worker failed: _TwoArgError\('needs two arguments'\)$"),
     (_exit_7, RuntimeError, r"^search worker \d+ exited with status 7 and no report$"),
     (_kill_self, RuntimeError, r"^search worker \d+ exited with status -9 and no report$"),
 ])
-def test_worker_failures_surface_after_cleanup(monkeypatch, forks, run_task, error, match):
+def test_worker_failures_surface_after_cleanup(monkeypatch, forks, walk_task, error, match):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(search, "run_task", run_task)
+    monkeypatch.setattr(search, "_walk_task", walk_task)
     fds = _open_fds()
     with pytest.raises(error, match=match):
         run_search(_CFG, workers=2)
     assert len(forks) == 2
     assert _no_children_left()
     assert _open_fds() == fds
+
+
+@pytest.mark.parametrize("cfg", [
+    SearchConfig(kind=Kind.STRONG, r=3, n=9, mode=SearchMode.ENUMERATE_ALL),
+    # Past the maximal order: no witness, and the deepest order is 9.
+    SearchConfig(kind=Kind.STRONG, r=3, n=12, mode=SearchMode.ENUMERATE_ALL),
+    _SMALL,
+    _CFG,
+])
+@pytest.mark.parametrize("split_depth", [1, 2, 4, None])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_split_walks_merge_into_the_sequential_walk(monkeypatch, cfg, split_depth, workers):
+    # Witnesses, nodes, exhausted and deepest, each merged by its own rule,
+    # equal the one walk of the whole tree.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    want = search._explore(cfg, (), None)
+    got = search._drive(cfg, workers, split_depth)
+    assert got == want._replace(frontier=[])
+    assert _no_children_left()
 
 
 def test_interrupted_parent_kills_and_reaps_its_children(forks):
@@ -232,7 +251,7 @@ def test_cli_reports_a_dead_worker_in_one_line(death, status):
     patch = (
         "import os, signal\n"
         "import gskit.search\n"
-        f"gskit.search.run_task = lambda task: {death}\n"
+        f"gskit.search._walk_task = lambda task: {death}\n"
     )
     argv = ["search", "--kind", "weak", "--r", "5", "--n", "89", "--enumerate"]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
