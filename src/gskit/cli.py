@@ -104,7 +104,7 @@ def _print_json(doc: dict):
 
 def _print_coloring(c: Coloring, kind: Kind):
     """Compact digit string when possible, explicit file form otherwise."""
-    if c.r <= 9:
+    if c.r <= 9 and max(c.colors) <= 9:
         print(c.compact())
     else:
         sys.stdout.write(to_file_form(c, kind))
@@ -271,6 +271,8 @@ def cmd_search(args) -> int:
     workers = args.workers if args.workers is not None else _default_workers()
     if args.max_order and (args.n is not None or args.enumerate):
         raise UsageError("--max-order excludes --n and --enumerate")
+    if args.limit is not None and args.n is not None:
+        raise UsageError("--limit excludes --n")
     if not args.max_order and not args.enumerate and args.n is None:
         raise UsageError("one of --n, --max-order, --enumerate is required")
     if args.n is not None and args.n < 1:
@@ -278,7 +280,7 @@ def cmd_search(args) -> int:
     # --streak is checked in every mode; a fixed --n is its own ceiling.
     limit = walk_limit(kind, args.r, args.limit if args.n is None else args.n, args.streak)
     # Checked in every mode, after the flags above and before any search.
-    check_parallelism(workers, args.split_depth)
+    check_parallelism(workers)
 
     if args.max_order:
         m_max, confirmed = max_order(
@@ -305,8 +307,7 @@ def cmd_search(args) -> int:
         # flow, and gives the walk and the enumeration the full --budget and
         # --wall each.
         found = enumerate_maximal(
-            kind, args.r, limit, node_budget=args.budget, wall_budget=args.wall,
-            workers=workers, split_depth=args.split_depth,
+            kind, args.r, limit, node_budget=args.budget, wall_budget=args.wall, workers=workers
         )
         if found.report is None:
             _err(f"no feasible order up to {limit}")
@@ -315,7 +316,7 @@ def cmd_search(args) -> int:
     else:
         n, confirmed = args.n, True
         cfg = SearchConfig(kind, args.r, n, mode, args.budget, args.wall)
-        report = run_search(cfg, workers=workers, split_depth=args.split_depth)
+        report = run_search(cfg, workers=workers)
     if args.json:
         print(report_json(SearchConfig(kind, args.r, n, mode), report))
     else:
@@ -416,14 +417,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", action="store_true",
                    help="all canonical witnesses (at --n, or at the maximal order)")
     p.add_argument("--limit", type=int, default=None,
-                   help="order ceiling for --max-order/--enumerate "
-                        "(default: GS(r) - 1 + streak)")
+                   help="order ceiling for --max-order/--enumerate, not with "
+                        "--n (default: GS(r) - 1 + streak)")
     p.add_argument("--streak", type=int, default=5,
                    help="orders above the closed form in the default --limit")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (default: GSKIT_WORKERS or 1)")
-    p.add_argument("--split-depth", type=int, default=None,
-                   help="prefix depth for parallel task splitting")
     p.add_argument("--budget", type=int, default=None,
                    help="node budget (with --enumerate and no --n, for the "
                         "max-order walk and the enumeration each, as in "

@@ -305,6 +305,8 @@ def parse_model(text: str) -> list[int]:
             try:
                 lit = int(tok)
             except ValueError:
+                if (tok[1:] if tok[0] in "+-" else tok).isdecimal():  # past int()'s limit
+                    raise ValueError(f"literal {len(lits) + 1} has too many digits") from None
                 raise ValueError(f"malformed model token {tok!r}") from None
             if lit == 0:
                 done = True

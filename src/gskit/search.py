@@ -26,14 +26,15 @@ it undoes them all at once.
 
 The sequential depth-first order is the reference semantics.  One
 driver, `_drive`, walks the tree in one piece or splits it into subtree
-tasks below a fixed prefix depth, and merges the tasks' `_Walk` records
-with the shallow walk above them by one rule per field: witnesses
-concatenate in prefix order, nodes add, the run is exhausted when every
-task is, and the deepest order is the max.  The merge equals the
-sequential walk, so worker count never changes the output.  Split tasks
-run on child processes started with `os.fork` (see `gskit.pool`).
-First-witness runs, runs with a budget, runs on one worker or one CPU,
-and runs where `os.fork` is missing are never split.
+tasks below the prefix depth `default_split_depth` picks from the config
+alone, and merges the tasks' `_Walk` records with the shallow walk above
+them by one rule per field: witnesses concatenate in prefix order, nodes
+add, the run is exhausted when every task is, and the deepest order is
+the max.  The merge equals the sequential walk, so worker count never
+changes the output.  Split tasks run on child processes started with
+`os.fork` (see `gskit.pool`).  First-witness runs, runs with a budget,
+runs on one worker or one CPU, and runs where `os.fork` is missing are
+never split.
 """
 
 from __future__ import annotations
@@ -324,25 +325,23 @@ def run_task(task: SubtreeTask) -> SearchReport:
 
 
 def default_split_depth(cfg: SearchConfig) -> int:
-    """Split depth used when the caller does not pick one; a pure function
-    of the config so that worker count never influences the report."""
+    """Prefix depth at which a split run cuts the tree into tasks, from the
+    config alone so that worker count never influences the report."""
     if cfg.n < 12:
         return 0
     return min(8, cfg.n // 3)
 
 
-def check_parallelism(workers: int, split_depth: int | None) -> None:
-    """Reject a worker count below 1 or a negative split depth."""
+def check_parallelism(workers: int) -> None:
+    """Reject a worker count below 1."""
     if workers < 1:
         raise ValueError("worker count must be positive")
-    if split_depth is not None and split_depth < 0:
-        raise ValueError(f"split depth must be non-negative, got {split_depth}")
 
 
-def _drive(cfg: SearchConfig, workers: int = 1, split_depth: int | None = None) -> _Walk:
+def _drive(cfg: SearchConfig, workers: int = 1) -> _Walk:
     """Walk `cfg`'s whole tree, in one piece or split as the module docstring says."""
     procs = min(workers, os.cpu_count() or 1)
-    depth = default_split_depth(cfg) if split_depth is None else min(split_depth, cfg.n)
+    depth = default_split_depth(cfg)
     # A forked child gets a copy of every lock, but only the calling
     # thread; with other threads running, one might hold a lock forever.
     threading = sys.modules.get("threading")
@@ -368,21 +367,18 @@ def _drive(cfg: SearchConfig, workers: int = 1, split_depth: int | None = None) 
     )
 
 
-def run_search(
-    cfg: SearchConfig, workers: int = 1, split_depth: int | None = None
-) -> SearchReport:
+def run_search(cfg: SearchConfig, workers: int = 1) -> SearchReport:
     """Run a search, optionally on several worker processes.
 
     The report is byte-for-byte identical for every worker count, as the
-    split depends only on the config and split depth.  The module
-    docstring says which runs split; neither a budgeted run (so its budget
-    caps the whole run) nor one with other threads running ever does.  A
-    split run starts at most min(workers, tasks, CPUs) child processes.
-    A worker count below 1 or a negative split depth raises ValueError
-    before any search; a depth above n means n.
+    split, at `default_split_depth(cfg)`, depends only on the config.  The
+    module docstring says which runs split; neither a budgeted run (so its
+    budget caps the whole run) nor one with other threads running ever
+    does.  A split run starts at most min(workers, tasks, CPUs) child
+    processes.  A worker count below 1 raises ValueError before any search.
     """
-    check_parallelism(workers, split_depth)
-    return _report(cfg, _drive(cfg, workers, split_depth))
+    check_parallelism(workers)
+    return _report(cfg, _drive(cfg, workers))
 
 
 def walk_limit(kind: Kind, r: int, limit: int | None = None, streak: int = 5) -> int:
@@ -433,30 +429,28 @@ def enumerate_maximal(
     kind: Kind,
     r: int,
     limit: int | None = None,
-    streak: int = 5,
     node_budget: int | None = None,
     wall_budget: float | None = None,
     workers: int = 1,
-    split_depth: int | None = None,
 ) -> MaximalReport:
     """Every maximal r-color partition of the given kind, up to relabeling.
 
-    Finds the maximal order with `max_order`, up to `walk_limit(kind, r,
-    limit, streak)`, then enumerates all canonical witnesses at that
-    order, in lexicographic order, with `run_search`.  The node and wall
-    budgets apply to each phase separately, so the whole call may spend up
-    to twice either one.  A budget never raises: the answer is proved only
-    when `confirmed` is True and the report is exhausted, and whatever was
-    found is returned either way.  `workers` and `split_depth` are checked
-    as in `run_search`, before the walk.
+    Finds the maximal order with `max_order`, up to `limit` (by default
+    `walk_limit(kind, r)`), then enumerates all canonical witnesses at
+    that order, in lexicographic order, with `run_search`.  The node and
+    wall budgets apply to each phase separately, so the whole call may
+    spend up to twice either one.  A budget never raises: the answer is
+    proved only when `confirmed` is True and the report is exhausted, and
+    whatever was found is returned either way.  `workers` is checked as
+    in `run_search`, before the walk.
     """
-    check_parallelism(workers, split_depth)
-    limit = walk_limit(kind, r, limit, streak)
+    check_parallelism(workers)
+    limit = walk_limit(kind, r, limit)
     m_max, confirmed = max_order(kind, r, limit, node_budget, wall_budget)
     report = None
     if m_max:
         cfg = SearchConfig(kind, r, m_max, SearchMode.ENUMERATE_ALL, node_budget, wall_budget)
-        report = run_search(cfg, workers=workers, split_depth=split_depth)
+        report = run_search(cfg, workers=workers)
     return MaximalReport(limit=limit, m_max=m_max, confirmed=confirmed, report=report)
 
 

@@ -280,6 +280,16 @@ def test_construct_large_r_uses_file_form(capsys):
     assert coloring.n == 5624 and coloring.r == 10
 
 
+def test_construct_from_echoes_entries_above_nine(tmp_path, capsys):
+    # r <= 9 but an entry above 9: no digit string holds it, so the input
+    # comes back in its file form, as --json prints it.
+    text = "gspartition v1 kind=strong r=9 n=9\n1 2 3 4 5 6 7 8 12\n"
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    assert invoke(["construct", "--from", str(path)]) == 0
+    assert capsys.readouterr() == (text, "")
+
+
 def test_decompose_examples(capsys):
     assert invoke(["decompose", "122131221"]) == 0
     assert capsys.readouterr().out == "base=1 tags=FiveFold\n"
@@ -453,13 +463,13 @@ def test_search_refuses_zero_workers(capsys, mode):
     assert capsys.readouterr() == ("", "error: worker count must be positive\n")
 
 
-@pytest.mark.parametrize("mode", [["--n", "17", "--enumerate"], ["--max-order"], ["--enumerate"]])
-def test_search_refuses_negative_split_depth(capsys, monkeypatch, mode):
-    # Checked before any search, in every mode.
-    monkeypatch.setattr("gskit.search._explore", None)
-    argv = ["search", "--kind", "weak", "--r", "3", "--workers", "2", "--split-depth", "-5"]
-    assert invoke(argv + mode + ["--json"]) == 2
-    assert capsys.readouterr() == ("", "error: split depth must be non-negative, got -5\n")
+def test_search_has_no_split_depth_flag(capsys):
+    # The split depth is chosen from the config alone.
+    argv = ["search", "--kind", "weak", "--r", "3", "--n", "17", "--enumerate"]
+    assert invoke(argv + ["--split-depth", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --split-depth 3" in captured.err
 
 
 def test_search_refuses_r_above_cap(capsys, monkeypatch):
@@ -487,9 +497,16 @@ def test_search_flag_conflicts(capsys):
     assert invoke(["search", "--n", "5"]) == 2  # --r is required
 
 
+@pytest.mark.parametrize("mode", [[], ["--enumerate"]])
+def test_search_limit_excludes_n(capsys, monkeypatch, mode):
+    # A fixed --n is its own ceiling: --limit is refused, before any search.
+    monkeypatch.setattr("gskit.search._explore", None)
+    assert invoke(["search", "--r", "3", "--n", "5", "--limit", "3", *mode]) == 2
+    assert capsys.readouterr() == ("", "error: --limit excludes --n\n")
+
+
 def test_search_workers_agree(capsys, monkeypatch):
-    args = ["search", "--kind", "weak", "--r", "3", "--n", "17",
-            "--enumerate", "--split-depth", "3", "--json"]
+    args = ["search", "--kind", "weak", "--r", "3", "--n", "17", "--enumerate", "--json"]
     assert invoke(args) == 0
     solo = capsys.readouterr().out
     monkeypatch.setenv("GSKIT_WORKERS", "2")
@@ -560,6 +577,16 @@ def test_cnf_decode_missing_file(capsys):
 
 def test_cnf_decode_junk(capsys, monkeypatch):
     assert invoke(["cnf", "decode", "--n", "4", "--r", "2"], monkeypatch, "zzz\n") == 2
+
+
+def test_cnf_decode_reports_overlong_literal_without_echo(capsys, monkeypatch):
+    # More digits than int() converts: one short line, the token not echoed.
+    model = "v 1 -2 " + "3" * 5000 + " 0\n"
+    assert invoke(["cnf", "decode", "--n", "4", "--r", "2"], monkeypatch, model) == 2
+    assert capsys.readouterr() == ("", "error: literal 3 has too many digits\n")
+    # A token that is no number keeps its message.
+    assert invoke(["cnf", "decode", "--n", "4", "--r", "2"], monkeypatch, "1 -2x 0\n") == 2
+    assert capsys.readouterr() == ("", "error: malformed model token '-2x'\n")
 
 
 def test_cnf_decode_refuses_r_above_n(capsys):
@@ -699,7 +726,6 @@ def _argv(draw):
         argv += draw(_opt("--limit", _small(-1, 30)))
         argv += draw(_opt("--streak", _small(-1, 6)))
         argv += draw(_opt("--workers", _small(-1, 1)))
-        argv += draw(_opt("--split-depth", _small(-2, 6)))
         argv += draw(_opt("--budget", _small(-1, 3000)))
         argv += draw(_opt("--wall", st.sampled_from(["0", "-1", "0.5", "nan", "inf"])))
     else:

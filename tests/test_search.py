@@ -100,11 +100,11 @@ def test_max_order_respects_limit():
 def test_streak_is_validated_by_walk_limit_not_config():
     with pytest.raises(ValueError, match="streak must be positive"):
         walk_limit(Kind.STRONG, 2, 7, streak=0)
-    with pytest.raises(ValueError, match="streak must be positive"):
-        enumerate_maximal(Kind.STRONG, 2, streak=0)
     assert "streak" not in SearchConfig.__slots__
     with pytest.raises(TypeError):
         max_order(Kind.STRONG, 2, 7, streak=5)
+    with pytest.raises(TypeError):
+        enumerate_maximal(Kind.STRONG, 2, streak=5)
     assert walk_limit(Kind.STRONG, 3) == 9 + 5
     assert walk_limit(Kind.WEAK, 2, streak=1) == 8 + 1
     assert walk_limit(Kind.STRONG, 3, 20, streak=2) == 20
@@ -212,9 +212,9 @@ def test_parallel_split_examples():
         parallel_split(_cfg(Kind.STRONG, 2, 4), 5)
 
 
-def test_parallel_split_partitions_the_tree():
+def test_parallel_split_partitions_the_tree(monkeypatch):
     cfg = _cfg(Kind.STRONG, 3, 9, SearchMode.ENUMERATE_ALL)
-    sequential = run_search(cfg, workers=1, split_depth=0)
+    sequential = run_search(cfg, workers=1)
     for depth in (1, 2, 3, 5, 9):
         tasks = parallel_split(cfg, depth)
         merged = []
@@ -229,16 +229,19 @@ def test_parallel_split_partitions_the_tree():
         # count once the coordinator's share is added back.
         shallow = sequential.nodes_explored - nodes_below
         assert shallow >= 0
-        full = run_search(cfg, workers=2, split_depth=depth)
+        monkeypatch.setattr("gskit.search.default_split_depth", lambda cfg: depth)
+        full = run_search(cfg, workers=2)
         assert full == sequential
 
 
-def test_run_search_identical_across_workers_and_depths():
+def test_run_search_identical_across_workers_and_depths(monkeypatch):
     cfg = _cfg(Kind.WEAK, 3, 17, SearchMode.ENUMERATE_ALL)
-    baseline = run_search(cfg, workers=1, split_depth=0)
+    baseline = run_search(cfg, workers=1)
     for workers in (1, 2, 4):
-        for depth in (None, 0, 2, 4):
-            rep = run_search(cfg, workers=workers, split_depth=depth)
+        for depth in (default_split_depth(cfg), 0, 2, 4):
+            # The parent reads the split depth from the config in _drive.
+            monkeypatch.setattr("gskit.search.default_split_depth", lambda cfg: depth)
+            rep = run_search(cfg, workers=workers)
             assert rep == baseline
             assert report_json(cfg, rep) == report_json(cfg, baseline)
 
@@ -264,24 +267,16 @@ def test_run_search_checks_parallelism_before_searching(monkeypatch, mode):
     cfg = _cfg(Kind.WEAK, 3, 17, mode)
     with pytest.raises(ValueError, match="^worker count must be positive$"):
         run_search(cfg, workers=0)
-    with pytest.raises(ValueError, match="^split depth must be non-negative, got -5$"):
-        run_search(cfg, workers=2, split_depth=-5)
 
 
-@pytest.mark.parametrize("workers, split_depth, message", [
-    (0, None, "worker count must be positive"),
-    (-1, 2, "worker count must be positive"),
-    (2, -1, "split depth must be non-negative, got -1"),
-])
-def test_enumerate_maximal_checks_parallelism_before_the_walk(
-    monkeypatch, workers, split_depth, message
-):
+@pytest.mark.parametrize("workers", [0, -1])
+def test_enumerate_maximal_checks_parallelism_before_the_walk(monkeypatch, workers):
     def walk(*args, **kwargs):
         raise AssertionError("max_order was called")
 
     monkeypatch.setattr("gskit.search.max_order", walk)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        enumerate_maximal(Kind.STRONG, 9, workers=workers, split_depth=split_depth)
+    with pytest.raises(ValueError, match="^worker count must be positive$"):
+        enumerate_maximal(Kind.STRONG, 9, workers=workers)
 
 
 def test_default_split_depth_is_config_pure():

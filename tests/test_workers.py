@@ -71,7 +71,9 @@ def _open_fds():
 ])
 def test_process_count_is_bounded(monkeypatch, forks, workers, cpus, cfg, split_depth, want):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    report = run_search(cfg, workers=workers, split_depth=split_depth)
+    if split_depth is not None:
+        monkeypatch.setattr(search, "default_split_depth", lambda cfg: split_depth)
+    report = run_search(cfg, workers=workers)
     assert len(forks) == want
     assert report == exists_partition(cfg)
     assert _no_children_left()
@@ -177,10 +179,13 @@ def test_worker_failures_surface_after_cleanup(monkeypatch, forks, walk_task, er
 @pytest.mark.parametrize("workers", [1, 2])
 def test_split_walks_merge_into_the_sequential_walk(monkeypatch, cfg, split_depth, workers):
     # Witnesses, nodes, exhausted and deepest, each merged by its own rule,
-    # equal the one walk of the whole tree.
+    # equal the one walk of the whole tree, at the default depth (None) and
+    # at depths patched in where _drive reads it.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    if split_depth is not None:
+        monkeypatch.setattr(search, "default_split_depth", lambda cfg: split_depth)
     want = search._explore(cfg, (), None)
-    got = search._drive(cfg, workers, split_depth)
+    got = search._drive(cfg, workers)
     assert got == want._replace(frontier=[])
     assert _no_children_left()
 
