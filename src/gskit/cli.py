@@ -82,19 +82,6 @@ def _resolve_kind(flag: str | None, declared: Kind | None) -> Kind:
     return Kind.STRONG
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("GSKIT_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise UsageError(f"GSKIT_WORKERS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise UsageError("GSKIT_WORKERS must be positive")
-    return workers
-
-
 def _print_json(doc: dict):
     # json is imported only by the commands that print it.
     import json
@@ -260,7 +247,7 @@ MAX_SEARCH_R = 64
 
 
 def cmd_search(args) -> int:
-    from .search import SearchConfig, SearchMode, check_parallelism, enumerate_maximal
+    from .search import STREAK, SearchConfig, SearchMode, check_parallelism, enumerate_maximal
     from .search import max_order, report_json, run_search, walk_limit
 
     if args.r < 1:
@@ -268,7 +255,6 @@ def cmd_search(args) -> int:
     if args.r > MAX_SEARCH_R:
         raise UsageError(f"--r {args.r} is above the cap of {MAX_SEARCH_R}")
     kind = Kind.from_name(args.kind)
-    workers = args.workers if args.workers is not None else _default_workers()
     if args.max_order and (args.n is not None or args.enumerate):
         raise UsageError("--max-order excludes --n and --enumerate")
     if args.limit is not None and args.n is not None:
@@ -277,10 +263,10 @@ def cmd_search(args) -> int:
         raise UsageError("one of --n, --max-order, --enumerate is required")
     if args.n is not None and args.n < 1:
         raise UsageError("--n must be at least 1")
-    # --streak is checked in every mode; a fixed --n is its own ceiling.
-    limit = walk_limit(kind, args.r, args.limit if args.n is None else args.n, args.streak)
+    if args.n is None:  # a fixed --n needs no ceiling
+        limit = walk_limit(kind, args.r, args.limit)
     # Checked in every mode, after the flags above and before any search.
-    check_parallelism(workers)
+    check_parallelism(args.workers)
 
     if args.max_order:
         m_max, confirmed = max_order(
@@ -291,14 +277,14 @@ def cmd_search(args) -> int:
                 "kind": kind.value,
                 "r": args.r,
                 "limit": limit,
-                "streak": args.streak,
+                "streak": STREAK,
                 "m_max": m_max,
                 "confirmed": confirmed,
             }
             _print_json(doc)
         else:
             state = "confirmed" if confirmed else "unconfirmed"
-            print(f"m_max {m_max} {state} (streak {args.streak})")
+            print(f"m_max {m_max} {state} (streak {STREAK})")
         return 0 if confirmed else 3
 
     mode = SearchMode.ENUMERATE_ALL if args.enumerate else SearchMode.FIRST_WITNESS
@@ -306,9 +292,8 @@ def cmd_search(args) -> int:
         # --enumerate at the maximal order: enumerate_maximal defines the
         # flow, and gives the walk and the enumeration the full --budget and
         # --wall each.
-        found = enumerate_maximal(
-            kind, args.r, limit, node_budget=args.budget, wall_budget=args.wall, workers=workers
-        )
+        found = enumerate_maximal(kind, args.r, limit, node_budget=args.budget,
+                                  wall_budget=args.wall, workers=args.workers)
         if found.report is None:
             _err(f"no feasible order up to {limit}")
             return 1 if found.confirmed else 3
@@ -316,7 +301,7 @@ def cmd_search(args) -> int:
     else:
         n, confirmed = args.n, True
         cfg = SearchConfig(kind, args.r, n, mode, args.budget, args.wall)
-        report = run_search(cfg, workers=workers)
+        report = run_search(cfg, workers=args.workers)
     if args.json:
         print(report_json(SearchConfig(kind, args.r, n, mode), report))
     else:
@@ -418,11 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="all canonical witnesses (at --n, or at the maximal order)")
     p.add_argument("--limit", type=int, default=None,
                    help="order ceiling for --max-order/--enumerate, not with "
-                        "--n (default: GS(r) - 1 + streak)")
-    p.add_argument("--streak", type=int, default=5,
-                   help="orders above the closed form in the default --limit")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: GSKIT_WORKERS or 1)")
+                        "--n (default: GS(r) - 1 + 5; any ceiling above "
+                        "GS(r) - 1 gives the same answer)")
+    p.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
     p.add_argument("--budget", type=int, default=None,
                    help="node budget (with --enumerate and no --n, for the "
                         "max-order walk and the enumeration each, as in "

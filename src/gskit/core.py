@@ -178,13 +178,14 @@ class Violation(Record):
 
 
 class Verdict(Record):
-    __slots__ = ("ok", "violations")
+    __slots__ = ("violations",)
 
-    def __init__(self, ok: bool, violations: tuple[Violation, ...]):
-        if ok != (len(violations) == 0):
-            raise ValueError("ok must hold exactly when there are no violations")
-        _set(self, "ok", ok)
+    def __init__(self, violations: tuple[Violation, ...]):
         _set(self, "violations", violations)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 _FILE_HEADER = re.compile(r"^gspartition v1 kind=(strong|weak) r=([0-9]+) n=([0-9]+)$")
@@ -321,7 +322,7 @@ def check_partition(c: Coloring, kind: Kind, exhaustive: bool = False) -> Verdic
         for bad in sorted({v for v in c.colors if v > c.r}):
             violations.append(Violation(ViolationClass.BAD_COLOR_RANGE, color=bad))
             if not exhaustive:
-                return Verdict(ok=False, violations=tuple(violations))
+                return Verdict(tuple(violations))
 
     strong = kind is Kind.STRONG
     chi = (0,) + c.colors  # 1-indexed access
@@ -336,22 +337,22 @@ def check_partition(c: Coloring, kind: Kind, exhaustive: bool = False) -> Verdic
                         Violation(ViolationClass.MONOCHROMATIC_SUM, triple=(a, b, total))
                     )
                     if not exhaustive:
-                        return Verdict(ok=False, violations=tuple(violations))
+                        return Verdict(tuple(violations))
             elif ca != cc and cb != cc:
                 violations.append(
                     Violation(ViolationClass.RAINBOW_SUM, triple=(a, b, total))
                 )
                 if not exhaustive:
-                    return Verdict(ok=False, violations=tuple(violations))
+                    return Verdict(tuple(violations))
 
     present = set(c.colors)
     for color in range(1, c.r + 1):
         if color not in present:
             violations.append(Violation(ViolationClass.EMPTY_COLOR, color=color))
             if not exhaustive:
-                return Verdict(ok=False, violations=tuple(violations))
+                return Verdict(tuple(violations))
 
-    return Verdict(ok=not violations, violations=tuple(violations))
+    return Verdict(tuple(violations))
 
 
 # Prefixes [1, hi] that `_bad_sums` examines: the first is this long and

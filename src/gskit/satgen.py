@@ -38,11 +38,11 @@ class CnfDocument(Record):
     """A CNF instance plus the bookkeeping to interpret it.
 
     `labels` tags each clause with its class letter so censuses and
-    debugging stay exact; `varmap` maps (v, i) to the variable index.
-    Its list and dict fields make it unhashable.
+    debugging stay exact; `var_index` maps (v, i) to the variable index.
+    Its list fields make it unhashable.
     """
 
-    __slots__ = ("n", "r", "kind", "symmetry", "num_vars", "clauses", "labels", "varmap")
+    __slots__ = ("n", "r", "kind", "symmetry", "clauses", "labels")
     __hash__ = None
 
     def __init__(
@@ -51,30 +51,27 @@ class CnfDocument(Record):
         r: int,
         kind: Kind,
         symmetry: bool,
-        num_vars: int,
         clauses: list[list[int]],
         labels: list[str],
-        varmap: dict[tuple[int, int], int],
     ):
-        if num_vars != n * r:
-            raise ValueError("num_vars must equal n * r")
         if len(labels) != len(clauses):
             raise ValueError("labels and clauses must align")
+        num_vars = n * r
         for clause in clauses:
             if not clause:
                 raise ValueError("empty clause")
             if any(lit == 0 or abs(lit) > num_vars for lit in clause):
                 raise ValueError("literal out of range")
-        if sorted(varmap.values()) != list(range(1, num_vars + 1)):
-            raise ValueError("varmap must cover variable indices exactly once")
         _set(self, "n", n)
         _set(self, "r", r)
         _set(self, "kind", kind)
         _set(self, "symmetry", symmetry)
-        _set(self, "num_vars", num_vars)
         _set(self, "clauses", clauses)
         _set(self, "labels", labels)
-        _set(self, "varmap", varmap)
+
+    @property
+    def num_vars(self) -> int:
+        return self.n * self.r
 
 
 def var_index(v: int, i: int, r: int) -> int:
@@ -157,17 +154,7 @@ def encode(n: int, r: int, kind: Kind, symmetry: bool = False) -> CnfDocument:
     for label, text in _clause_blocks(n, r, kind, symmetry):
         clauses += [[int(lit) for lit in line.split()[:-1]] for line in text.splitlines()]
         labels += [label] * (len(clauses) - len(labels))
-    varmap = {(v, i): var_index(v, i, r) for v in range(1, n + 1) for i in range(1, r + 1)}
-    return CnfDocument(
-        n=n,
-        r=r,
-        kind=kind,
-        symmetry=symmetry,
-        num_vars=n * r,
-        clauses=clauses,
-        labels=labels,
-        varmap=varmap,
-    )
+    return CnfDocument(n=n, r=r, kind=kind, symmetry=symmetry, clauses=clauses, labels=labels)
 
 
 def clause_count(n: int, r: int, kind: Kind, symmetry: bool = False) -> int:
@@ -197,9 +184,10 @@ def decode(model: list[int], n: int, r: int) -> Coloring:
         raise ValueError(f"r={r} exceeds n={n}; a partition of [1, n] has at most n colors")
     # Each position's colors, keyed by position: see `var_index`.
     hits: dict[int, set[int]] = {}
-    for lit in model:
+    for index, lit in enumerate(model, 1):
+        # Named by position: a literal may have thousands of digits.
         if lit == 0 or abs(lit) > n * r:
-            raise ValueError(f"literal {lit} outside variable range 1..{n * r}")
+            raise ValueError(f"literal at position {index} is outside variable range 1..{n * r}")
         if lit > 0:
             v, i = divmod(lit - 1, r)
             hits.setdefault(v + 1, set()).add(i + 1)

@@ -381,21 +381,22 @@ def run_search(cfg: SearchConfig, workers: int = 1) -> SearchReport:
     return _report(cfg, _drive(cfg, workers))
 
 
-def walk_limit(kind: Kind, r: int, limit: int | None = None, streak: int = 5) -> int:
-    """Order ceiling of the max-order walk: `limit`, or by default
-    GS(r) - 1 + streak, `streak` orders past the closed-form maximum.
+# Orders past the closed-form maximum GS(r) - 1 in the default ceiling of
+# the max-order walk.  The walk proves the maximum at any ceiling above
+# GS(r) - 1, so the margin changes no answer; it stays 5 because the
+# printed "(streak 5)" and the JSON "streak" key report it.
+STREAK = 5
 
-    The limit is checked before the streak, so a default limit pushed
-    below 1 by a negative streak is reported as such.
-    """
+
+def walk_limit(kind: Kind, r: int, limit: int | None = None) -> int:
+    """Order ceiling of the max-order walk: `limit`, or by default
+    GS(r) - 1 + STREAK, STREAK orders past the closed-form maximum."""
     if limit is None:
         from .construct import gs_number
 
-        limit = gs_number(r, kind).value - 1 + streak
+        limit = gs_number(r, kind).value - 1 + STREAK
     if limit < 1:
         raise ValueError("limit must be positive")
-    if streak < 1:
-        raise ValueError("streak must be positive")
     return limit
 
 

@@ -21,6 +21,7 @@ from .core import Coloring, Kind, Record, _set, check_partition, is_canonical
 from .construct import (
     MappingTag,
     PatternError,
+    _order,
     apply_mappings,
     inverse_five_fold,
     inverse_two_fold,
@@ -40,12 +41,19 @@ class Decomposition(Record):
     onto `base` reproduces the decomposed coloring exactly.
     """
 
-    __slots__ = ("base", "tags", "original_order")
+    __slots__ = ("base", "tags")
 
-    def __init__(self, base: Coloring, tags: tuple[MappingTag, ...], original_order: int):
+    def __init__(self, base: Coloring, tags: tuple[MappingTag, ...]):
         _set(self, "base", base)
         _set(self, "tags", tags)
-        _set(self, "original_order", original_order)
+
+    @property
+    def original_order(self) -> int:
+        """Order of the decomposed coloring, that of `replay()`."""
+        n = self.base.n
+        for tag in self.tags:
+            n = _order(tag, n)
+        return n
 
     def replay(self) -> Coloring:
         return apply_mappings(self.base, self.tags)
@@ -114,7 +122,7 @@ def decompose_full(c: Coloring, *, canonical: bool = False) -> Decomposition:
         tag, current = layer
         tags.append(tag)
     tags.reverse()
-    return Decomposition(base=current, tags=tuple(tags), original_order=c.n)
+    return Decomposition(base=current, tags=tuple(tags))
 
 
 def verify_image_structure(c: Coloring, kind: Kind) -> bool:

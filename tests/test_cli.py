@@ -443,12 +443,12 @@ def test_search_deep_order_has_no_traceback():
     assert "Traceback" not in proc.stderr
 
 
-def test_search_streak_must_be_positive(capsys):
-    for mode in (["--n", "4"], ["--max-order"], ["--enumerate"]):
-        assert invoke(["search", "--r", "2", "--streak", "0"] + mode) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: streak must be positive\n"
+def test_search_has_no_streak_flag(capsys):
+    # The margin past GS(r) - 1 in the default ceiling is fixed.
+    assert invoke(["search", "--r", "3", "--max-order", "--streak", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --streak 3" in captured.err
 
 
 def test_search_refuses_nan_wall(capsys):
@@ -505,19 +505,12 @@ def test_search_limit_excludes_n(capsys, monkeypatch, mode):
     assert capsys.readouterr() == ("", "error: --limit excludes --n\n")
 
 
-def test_search_workers_agree(capsys, monkeypatch):
+def test_search_workers_agree(capsys):
     args = ["search", "--kind", "weak", "--r", "3", "--n", "17", "--enumerate", "--json"]
     assert invoke(args) == 0
     solo = capsys.readouterr().out
-    monkeypatch.setenv("GSKIT_WORKERS", "2")
-    assert invoke(args) == 0
+    assert invoke(args + ["--workers", "2"]) == 0
     assert capsys.readouterr().out == solo
-
-
-def test_search_bad_workers_env(capsys, monkeypatch):
-    monkeypatch.setenv("GSKIT_WORKERS", "many")
-    assert invoke(["search", "--r", "2", "--n", "4"]) == 2
-    assert "GSKIT_WORKERS" in capsys.readouterr().err
 
 
 def test_cnf_encode_output(capsys):
@@ -587,6 +580,18 @@ def test_cnf_decode_reports_overlong_literal_without_echo(capsys, monkeypatch):
     # A token that is no number keeps its message.
     assert invoke(["cnf", "decode", "--n", "4", "--r", "2"], monkeypatch, "1 -2x 0\n") == 2
     assert capsys.readouterr() == ("", "error: malformed model token '-2x'\n")
+
+
+def test_cnf_decode_names_out_of_range_literal_by_position(capsys):
+    # The literal itself is never echoed: it may have thousands of digits.
+    assert invoke(["cnf", "decode", "1" * 4000, "--n", "3", "--r", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: literal at position 1 is outside variable range 1..3\n"
+    )
+    assert invoke(["cnf", "decode", "v 1 9 0", "--n", "2", "--r", "2"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: literal at position 2 is outside variable range 1..4\n"
+    )
 
 
 def test_cnf_decode_refuses_r_above_n(capsys):
@@ -724,7 +729,6 @@ def _argv(draw):
         ))
         argv += draw(_opt("--n", _small(-1, 14)))
         argv += draw(_opt("--limit", _small(-1, 30)))
-        argv += draw(_opt("--streak", _small(-1, 6)))
         argv += draw(_opt("--workers", _small(-1, 1)))
         argv += draw(_opt("--budget", _small(-1, 3000)))
         argv += draw(_opt("--wall", st.sampled_from(["0", "-1", "0.5", "nan", "inf"])))

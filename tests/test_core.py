@@ -147,13 +147,6 @@ def test_verifier_exhaustive_collects_everything():
     assert len(short.violations) == 1
 
 
-def test_verdict_consistency_enforced():
-    with pytest.raises(ValueError):
-        from gskit.core import Verdict
-
-        Verdict(ok=True, violations=(Violation(ViolationClass.EMPTY_COLOR, color=1),))
-
-
 def test_describe_strings():
     assert (
         Violation(ViolationClass.MONOCHROMATIC_SUM, triple=(1, 1, 2)).describe()

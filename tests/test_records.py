@@ -26,15 +26,14 @@ _RECORDS = [
     (Violation(ViolationClass.EMPTY_COLOR, color=3),
      "Violation(category=<ViolationClass.EMPTY_COLOR: 'EmptyColor'>, "
      "triple=None, color=3)"),
-    (Verdict(ok=False, violations=(_V,)),
-     "Verdict(ok=False, violations=(Violation(category=<ViolationClass.RAINBOW_SUM: "
+    (Verdict(violations=(_V,)),
+     "Verdict(violations=(Violation(category=<ViolationClass.RAINBOW_SUM: "
      "'RainbowSum'>, triple=(1, 2, 3), color=None),))"),
     (GsFunctionValue(r=2, kind=Kind.STRONG, value=5),
      "GsFunctionValue(r=2, kind=<Kind.STRONG: 'strong'>, value=5)"),
-    (Decomposition(base=Coloring(n=1, r=1, colors=(1,)), tags=(MappingTag.FIVE_FOLD,),
-                   original_order=9),
+    (Decomposition(base=Coloring(n=1, r=1, colors=(1,)), tags=(MappingTag.FIVE_FOLD,)),
      "Decomposition(base=Coloring(n=1, r=1, colors=(1,)), "
-     "tags=(<MappingTag.FIVE_FOLD: 'FiveFold'>,), original_order=9)"),
+     "tags=(<MappingTag.FIVE_FOLD: 'FiveFold'>,))"),
     (_CFG,
      "SearchConfig(kind=<Kind.WEAK: 'weak'>, r=3, n=17, mode=<SearchMode.FIRST_WITNESS: "
      "'first-witness'>, node_budget=None, wall_budget=None)"),
@@ -48,10 +47,9 @@ _RECORDS = [
      "SubtreeTask(config=SearchConfig(kind=<Kind.WEAK: 'weak'>, r=3, n=17, "
      "mode=<SearchMode.FIRST_WITNESS: 'first-witness'>, node_budget=None, "
      "wall_budget=None), prefix=(1, 2))"),
-    (CnfDocument(n=1, r=1, kind=Kind.STRONG, symmetry=False, num_vars=1, clauses=[[1]],
-                 labels=["a"], varmap={(1, 1): 1}),
-     "CnfDocument(n=1, r=1, kind=<Kind.STRONG: 'strong'>, symmetry=False, num_vars=1, "
-     "clauses=[[1]], labels=['a'], varmap={(1, 1): 1})"),
+    (CnfDocument(n=1, r=1, kind=Kind.STRONG, symmetry=False, clauses=[[1]], labels=["a"]),
+     "CnfDocument(n=1, r=1, kind=<Kind.STRONG: 'strong'>, symmetry=False, "
+     "clauses=[[1]], labels=['a'])"),
 ]
 _IDS = [type(rec).__name__ for rec, _ in _RECORDS]
 
@@ -149,8 +147,6 @@ def test_constructor_validation_is_kept():
         Coloring(n=2, r=1, colors=(1,))
     with pytest.raises(ValueError, match="color entries must be >= 1"):
         Coloring(n=3, r=2, colors=(1, 0, 2))
-    with pytest.raises(ValueError, match="ok must hold exactly"):
-        Verdict(ok=True, violations=(_V,))
     with pytest.raises(ValueError, match="r and n must be positive"):
         SearchConfig(Kind.STRONG, 0, 4)
     with pytest.raises(ValueError, match="node budget must be positive"):
@@ -158,5 +154,19 @@ def test_constructor_validation_is_kept():
     for wall in (0, float("nan")):
         with pytest.raises(ValueError, match="wall budget must be positive"):
             SearchConfig(Kind.STRONG, 2, 4, wall_budget=wall)
-    with pytest.raises(ValueError, match="num_vars must equal n \\* r"):
-        CnfDocument(1, 1, Kind.STRONG, False, 2, [], [], {})
+
+
+def test_derived_values_are_read_only_properties():
+    # Each was a stored field holding exactly this value.
+    verdict = Verdict(violations=(_V,))
+    assert verdict.ok is False
+    assert Verdict(violations=()).ok is True
+    doc = CnfDocument(n=3, r=2, kind=Kind.WEAK, symmetry=False, clauses=[[6]], labels=["d"])
+    assert doc.num_vars == 6
+    dec = Decomposition(base=Coloring(n=1, r=1, colors=(1,)),
+                        tags=(MappingTag.FIVE_FOLD, MappingTag.TWO_FOLD))
+    assert dec.original_order == 19 == dec.replay().n
+    for rec, name in ((verdict, "ok"), (doc, "num_vars"), (dec, "original_order")):
+        assert name not in type(rec).__slots__
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(rec, name, 0)

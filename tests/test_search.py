@@ -7,7 +7,9 @@ import pytest
 from gskit.construct import gs_number
 from gskit.core import Kind, check_partition, is_canonical
 from gskit.search import (
+    STREAK,
     SubtreeTask,
+    _drive,
     _explore,
     SearchConfig,
     SearchMode,
@@ -98,21 +100,35 @@ def test_max_order_respects_limit():
 
 
 def test_streak_is_validated_by_walk_limit_not_config():
-    with pytest.raises(ValueError, match="streak must be positive"):
-        walk_limit(Kind.STRONG, 2, 7, streak=0)
+    # The margin past GS(r) - 1 is the constant STREAK, settable nowhere.
+    assert STREAK == 5
+    with pytest.raises(TypeError):
+        walk_limit(Kind.STRONG, 2, 7, streak=5)
     assert "streak" not in SearchConfig.__slots__
     with pytest.raises(TypeError):
         max_order(Kind.STRONG, 2, 7, streak=5)
     with pytest.raises(TypeError):
         enumerate_maximal(Kind.STRONG, 2, streak=5)
     assert walk_limit(Kind.STRONG, 3) == 9 + 5
-    assert walk_limit(Kind.WEAK, 2, streak=1) == 8 + 1
-    assert walk_limit(Kind.STRONG, 3, 20, streak=2) == 20
-    # The limit is checked first, also when a negative streak pulls the
-    # default below 1 (strong GS(1) - 1 = 1).
-    for limit, streak in ((0, 0), (None, -1)):
+    assert walk_limit(Kind.WEAK, 2) == 8 + 5
+    assert walk_limit(Kind.STRONG, 3, 20) == 20
+    for limit in (0, -3):
         with pytest.raises(ValueError, match="limit must be positive"):
-            walk_limit(Kind.STRONG, 1, limit, streak)
+            walk_limit(Kind.STRONG, 1, limit)
+
+
+def test_margin_past_the_closed_form_changes_no_answer():
+    # Every ceiling above GS(r) - 1 walks the same tree, so STREAK can be
+    # fixed: nodes, deepest order and the confirmed flag all agree.
+    for kind, top in ((Kind.STRONG, 7), (Kind.WEAK, 6)):
+        for r in range(1, top + 1):
+            seen = set()
+            for margin in (1, 2, STREAK, 50):
+                limit = gs_number(r, kind).value - 1 + margin
+                walk = _drive(_cfg(kind, r, limit))
+                seen.add((walk.nodes, walk.deepest, walk.exhausted or bool(walk.witnesses)))
+            assert len(seen) == 1, (kind, r, seen)
+            assert seen.pop()[1:] == (gs_number(r, kind).value - 1, True)
 
 
 def test_max_order_matches_per_order_scan():

@@ -160,10 +160,9 @@ def test_verify_image_structure_preconditions():
 
 
 def test_decomposition_dataclass_shape():
-    dec = Decomposition(
-        base=parse_coloring("1"), tags=(MappingTag.FIVE_FOLD,), original_order=9
-    )
+    dec = Decomposition(base=parse_coloring("1"), tags=(MappingTag.FIVE_FOLD,))
     assert str(dec.replay()) == "122131221"
+    assert dec.original_order == 9
 
 
 def _assert_matches_image_oracle(c: Coloring):
