@@ -317,10 +317,12 @@ def cmd_search(args) -> int:
 
 
 # Most clauses cnf encode emits.  The text is streamed block by block, so
-# memory stays flat (about 20 MB peak RSS up to the cap); the cap bounds the
-# size of the output (about 40 MB near it) and the time to write it.  A
-# bigger request is refused, from the closed-form count, before any clause
-# is written.
+# memory follows the largest block, not the whole output: 15 MB peak RSS at
+# --n 124 --r 6, but with few positions and many colors one block holds most
+# clauses (192 MB at --n 3 --r 126, 102 MB at --n 4 --r 100).  The cap
+# bounds the size of the output (about 40 MB near it) and the time to write
+# it.  A bigger request is refused, from the closed-form count, before any
+# clause is written.
 MAX_CNF_CLAUSES = 2_000_000
 
 

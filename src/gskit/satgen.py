@@ -24,11 +24,15 @@ The clause set is defined once, by the generator `_clause_blocks`, which
 yields the DIMACS text of the clauses in blocks.  `write_dimacs` streams
 those blocks to a writer (what `gskit cnf encode` runs); `encode` parses
 them back into a `CnfDocument` for library callers and the tests.
+Classes (a) to (c) are not formatted clause by clause: one
+`operator.itemgetter` per clause shape picks the literal pieces of every
+clause of a v or of a sum a + b = c at once, for a single join.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from operator import itemgetter
 from typing import TextIO
 
 from .core import Coloring, Kind, Record, _set
@@ -78,51 +82,66 @@ def var_index(v: int, i: int, r: int) -> int:
     return (v - 1) * r + i
 
 
+def _gather(shape: Iterable[tuple[int, ...]], r: int):
+    """One getter for every clause of a shape, over concatenated literal rows.
+
+    `shape` yields color tuples; the t-th color of a tuple indexes the t-th
+    row of length r.  The getter returns the picked pieces of all clauses,
+    in order, as one tuple.  An empty shape gets a getter returning ().
+    """
+    indices = tuple(t * r + i - 1 for colors in shape for t, i in enumerate(colors))
+    if not indices:
+        return lambda rows: ()
+    return itemgetter(*indices)
+
+
 def _clause_blocks(
     n: int, r: int, kind: Kind, symmetry: bool
 ) -> Iterator[tuple[str, str]]:
     """The clause set, defined once, as (label, text) blocks in DIMACS order.
 
     Each text is a run of DIMACS clause lines, every one ending in " 0\n":
-    one class (a) block per v, one class (b) and one class (c) block per c,
-    one class (d) block and, with `symmetry`, one class (e) block per v.
-    Literals come from string tables built once, so no clause is ever held
-    as a list of ints.
+    one class (a) block per v, one class (b) block per c and, if r >= 3,
+    one class (c) block per c, one class (d) block and, with `symmetry`,
+    one class (e) block per v.  Literals come from string tables built
+    once, so no clause is ever held as a list of ints.  Classes (a) to (c)
+    are never formatted clause by clause: lead[v] holds the pieces
+    "-x[v,i] " and tail[v] the pieces "-x[v,i] 0\n", and one `_gather` per
+    clause shape picks every clause of a pair a + b = c out of
+    lead[a] + lead[b] + tail[c] (of a v, out of lead[v] + tail[v]), so the
+    text of each pair is one join.
     """
     strong = kind is Kind.STRONG
     colors = range(1, r + 1)
-    # pos[v][i] and neg[v][i] are the literals of x[v, i]; index 0 is unused.
+    # pos[v][i] is the literal of x[v, i]; index 0 is unused.  lead[v] and
+    # tail[v] are indexed by i - 1, as `_gather` reads them.
     pos = [[]] + [[""] + [str((v - 1) * r + i) for i in colors] for v in range(1, n + 1)]
-    neg = [[]] + [[""] + ["-" + lit for lit in row[1:]] for row in pos[1:]]
+    lead = [[]] + [[f"-{lit} " for lit in row[1:]] for row in pos[1:]]
+    tail = [[]] + [[f"-{lit} 0\n" for lit in row[1:]] for row in pos[1:]]
+    join = "".join
 
-    color_pairs = [(i, j) for i in colors for j in range(i + 1, r + 1)]
+    at_most_one = _gather(((i, j) for i in colors for j in range(i + 1, r + 1)), r)
     for v in range(1, n + 1):
-        p, m = pos[v], neg[v]
-        yield "a", " ".join(p[1:]) + " 0\n" + "".join(
-            f"{m[i]} {m[j]} 0\n" for i, j in color_pairs
-        )
+        yield "a", " ".join(pos[v][1:]) + " 0\n" + join(at_most_one(lead[v] + tail[v]))
 
+    mono = _gather(((i, i, i) for i in colors), r)
+    double = _gather(((i, i) for i in colors), r)
     for c in range(2, n + 1):
-        mc = neg[c]
-        lines = []
-        for a in range(1, c // 2 + 1):
-            b = c - a
-            ma, mb = neg[a], neg[b]
-            if a != b:
-                lines += [f"{ma[i]} {mb[i]} {mc[i]} 0\n" for i in colors]
-            elif strong:
-                lines += [f"{ma[i]} {mc[i]} 0\n" for i in colors]
-        yield "b", "".join(lines)
+        tc = tail[c]
+        texts = [join(mono(lead[a] + lead[c - a] + tc)) for a in range(1, (c + 1) // 2)]
+        if strong and c % 2 == 0:
+            texts.append(join(double(lead[c // 2] + tc)))
+        yield "b", join(texts)
 
-    triples = [(i, j, k) for i in colors for j in colors for k in colors
-               if j != i and k != i and k != j]
-    for c in range(3, n + 1):
-        mc = neg[c]
-        lines = []
-        for a in range(1, (c - 1) // 2 + 1):
-            ma, mb = neg[a], neg[c - a]
-            lines += [f"{ma[i]} {mb[j]} {mc[k]} 0\n" for i, j, k in triples]
-        yield "c", "".join(lines)
+    # The r(r - 1)(r - 2) rainbow triples are built only if a rainbow
+    # clause exists: it needs a pair a < b and three colors.
+    if n >= 3 and r >= 3:
+        rainbow = _gather(((i, j, k) for i in colors for j in colors for k in colors
+                           if j != i and k != i and k != j), r)
+        for c in range(3, n + 1):
+            tc = tail[c]
+            yield "c", join([join(rainbow(lead[a] + lead[c - a] + tc))
+                             for a in range(1, (c + 1) // 2)])
 
     yield "d", "".join(
         " ".join(pos[v][i] for v in range(1, n + 1)) + " 0\n" for i in colors
@@ -133,8 +152,8 @@ def _clause_blocks(
         # below[i]: the literals x[u, i] for every u below the current v.
         below = [""] + [pos[1][i] for i in colors]
         for v in range(2, n + 1):
-            m = neg[v]
-            yield "e", "".join(f"{m[j]} {below[j - 1]} 0\n" for j in range(2, r + 1))
+            m = lead[v]
+            yield "e", "".join(f"{m[j - 1]}{below[j - 1]} 0\n" for j in range(2, r + 1))
             below = [""] + [f"{below[i]} {pos[v][i]}" for i in colors]
 
 
@@ -294,7 +313,9 @@ def parse_model(text: str) -> list[int]:
                 lit = int(tok)
             except ValueError:
                 if (tok[1:] if tok[0] in "+-" else tok).isdecimal():  # past int()'s limit
-                    raise ValueError(f"literal {len(lits) + 1} has too many digits") from None
+                    raise ValueError(
+                        f"literal at position {len(lits) + 1} has too many digits"
+                    ) from None
                 raise ValueError(f"malformed model token {tok!r}") from None
             if lit == 0:
                 done = True

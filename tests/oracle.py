@@ -263,6 +263,53 @@ def scan_max_order(feasible, limit: int, streak: int) -> int:
     return m_max
 
 
+def naive_dimacs(n: int, r: int, kind: str, symmetry: bool) -> str:
+    """The DIMACS text of the partition constraints, one f-string per
+    clause, straight from the clause classes: (a) at least one color per
+    v and no two, (b) no monochromatic a + b = c (a = b only when strong),
+    (c) no rainbow a < b, a + b = c for any ordered triple of distinct
+    colors, (d) every color used and, with `symmetry`, (e) x[1, 1] and
+    color j at v only after color j - 1 below v.  x[v, i] is variable
+    (v - 1) * r + i."""
+    strong = kind == "strong"
+    colors = range(1, r + 1)
+    # x[v][i], the variable of v getting color i; row and column 0 unused.
+    x = [[(v - 1) * r + i for i in range(r + 1)] for v in range(n + 1)]
+
+    lines = []
+    for v in range(1, n + 1):
+        lines.append(" ".join(str(x[v][i]) for i in colors) + " 0\n")
+        for i in colors:
+            for j in range(i + 1, r + 1):
+                lines.append(f"-{x[v][i]} -{x[v][j]} 0\n")
+    for c in range(2, n + 1):
+        for a in range(1, c // 2 + 1):
+            b = c - a
+            for i in colors:
+                if a != b:
+                    lines.append(f"-{x[a][i]} -{x[b][i]} -{x[c][i]} 0\n")
+                elif strong:
+                    lines.append(f"-{x[a][i]} -{x[c][i]} 0\n")
+    for c in range(3, n + 1):
+        for a in range(1, (c - 1) // 2 + 1):
+            for i, j, k in itertools.permutations(colors, 3):
+                lines.append(f"-{x[a][i]} -{x[c - a][j]} -{x[c][k]} 0\n")
+    for i in colors:
+        lines.append(" ".join(str(x[v][i]) for v in range(1, n + 1)) + " 0\n")
+    if symmetry:
+        lines.append(f"{x[1][1]} 0\n")
+        for v in range(2, n + 1):
+            for j in range(2, r + 1):
+                below = " ".join(str(x[u][j - 1]) for u in range(1, v))
+                lines.append(f"-{x[v][j]} {below} 0\n")
+    return (
+        "c gallai-schur partition constraints\n"
+        f"c n={n} r={r} kind={kind} symmetry={'on' if symmetry else 'off'}\n"
+        "c variable x[v,i] has index (v-1)*r+i\n"
+        f"p cnf {n * r} {len(lines)}\n" + "".join(lines)
+    )
+
+
 def dpll(num_vars: int, clauses: list[list[int]]) -> list[int] | None:
     """Minimal complete SAT solver: unit propagation plus chronological
     branching.  Returns a full model as a literal list, or None."""

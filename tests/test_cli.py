@@ -576,7 +576,7 @@ def test_cnf_decode_reports_overlong_literal_without_echo(capsys, monkeypatch):
     # More digits than int() converts: one short line, the token not echoed.
     model = "v 1 -2 " + "3" * 5000 + " 0\n"
     assert invoke(["cnf", "decode", "--n", "4", "--r", "2"], monkeypatch, model) == 2
-    assert capsys.readouterr() == ("", "error: literal 3 has too many digits\n")
+    assert capsys.readouterr() == ("", "error: literal at position 3 has too many digits\n")
     # A token that is no number keeps its message.
     assert invoke(["cnf", "decode", "--n", "4", "--r", "2"], monkeypatch, "1 -2x 0\n") == 2
     assert capsys.readouterr() == ("", "error: malformed model token '-2x'\n")

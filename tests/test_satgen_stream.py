@@ -10,6 +10,7 @@ import pytest
 
 from gskit.core import Kind
 from gskit.satgen import clause_count, decode, encode, to_dimacs, write_dimacs
+from oracle import naive_dimacs
 
 
 class _Sink:
@@ -36,6 +37,18 @@ def test_stream_equals_document_text():
                     assert out.getvalue() == to_dimacs(doc), (n, r, kind, symmetry)
 
 
+def test_stream_equals_naive_oracle():
+    # Covers r = 1 and 2 (no rainbow shape) and n = 1 and 2 (no sum pair).
+    for n in range(1, 31):
+        for r in range(1, 8):
+            for kind in (Kind.STRONG, Kind.WEAK):
+                for symmetry in (False, True):
+                    out = io.StringIO()
+                    write_dimacs(out, n, r, kind, symmetry)
+                    assert out.getvalue() == naive_dimacs(n, r, kind.value, symmetry), (
+                        n, r, kind, symmetry)
+
+
 def test_stream_at_bench_size_is_pinned():
     sink = _Sink()
     write_dimacs(sink, 124, 6, Kind.STRONG, symmetry=True)
@@ -55,6 +68,18 @@ def test_stream_memory_stays_flat():
     tracemalloc.start()
     try:
         write_dimacs(_Null(), 124, 6, Kind.STRONG, symmetry=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_no_rainbow_table_without_a_sum_pair(n):
+    # r = 120 has 1,685,040 rainbow triples, but n < 3 has no pair a < b.
+    tracemalloc.start()
+    try:
+        write_dimacs(_Null(), n, 120, Kind.STRONG, symmetry=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
