@@ -8,11 +8,13 @@ small catalogue of bases via order-doubling and order-quintupling
 mappings, decomposes given partitions back into base and mapping chain,
 searches orders exhaustively, and emits DIMACS CNF for external solvers.
 
-The layers are core, construct, structure, search and satgen.  Importing
-the package loads none of them: a public name (or a layer, as in
-`gskit.search`) is imported on first access through the module-level
-`__getattr__` of PEP 562 and cached in this namespace, so `gskit.cli` and
-other callers pay only for the layers they use.
+The layers are core, construct, structure, search and satgen; the value
+types they share, and the closed forms, are in values, which imports no
+other gskit module.  Importing the package loads none of them: a public
+name (or a layer, as in `gskit.search`) is imported on first access
+through the module-level `__getattr__` of PEP 562 and cached in this
+namespace, so `gskit.cli` and other callers pay only for the layers they
+use.
 """
 
 from importlib import import_module
@@ -21,12 +23,14 @@ from importlib import import_module
 _EXPORTS = {
     name: layer
     for layer, names in (
-        ("core", """Coloring Kind ParseError Verdict Violation ViolationClass
-            canonicalize check_partition color_classes is_canonical
-            parse_coloring parse_coloring_with_kind to_file_form"""),
-        ("construct", """BASE_CATALOGUE GsFunctionValue MappingTag PatternError
-            apply_mappings base_by_name base_partitions five_fold gs_number
-            inverse_five_fold inverse_two_fold maximal_partition two_fold"""),
+        ("values", """BASE_CATALOGUE Coloring GsFunctionValue Kind ParseError
+            PatternError gs_number"""),
+        ("core", """Verdict Violation ViolationClass canonicalize check_partition
+            color_classes is_canonical parse_coloring parse_coloring_with_kind
+            to_file_form"""),
+        ("construct", """MappingTag apply_mappings base_by_name base_partitions
+            five_fold inverse_five_fold inverse_two_fold maximal_partition
+            two_fold"""),
         ("structure", """Decomposition StructureClass classify decompose_full
             peel verify_image_structure"""),
         ("search", """MaximalReport SearchConfig SearchMode SearchReport

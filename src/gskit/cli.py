@@ -21,30 +21,12 @@ import os
 import sys
 from pathlib import Path
 
-from .core import (
-    Coloring,
-    Kind,
-    ParseError,
-    canonicalize,
-    check_partition,
-    parse_coloring_with_kind,
-    to_file_form,
-)
-from .construct import (
-    BASE_CATALOGUE,
-    MappingTag,
-    PatternError,
-    _order,
-    base_by_name,
-    five_fold,
-    gs_number,
-    inverse_five_fold,
-    inverse_two_fold,
-    maximal_partition,
-    two_fold,
-)
-# structure, search and satgen are imported inside the commands that run
-# them, so each command loads only the layers it needs.
+from .values import BASE_CATALOGUE, Coloring, Kind, ParseError, PatternError, gs_number
+
+# The layers (core, construct, structure, search, satgen) are imported inside
+# the commands that run them, so each command compiles and loads only the
+# modules it needs: `table` and the argument parser need nothing past
+# gskit.values, and `search` never loads the verifier or the constructions.
 
 
 class UsageError(Exception):
@@ -94,10 +76,14 @@ def _print_coloring(c: Coloring, kind: Kind):
     if c.r <= 9 and max(c.colors) <= 9:
         print(c.compact())
     else:
+        from .core import to_file_form
+
         sys.stdout.write(to_file_form(c, kind))
 
 
 def cmd_verify(args) -> int:
+    from .core import check_partition, parse_coloring_with_kind
+
     coloring, declared = parse_coloring_with_kind(_read_input(args.input))
     kind = _resolve_kind(args.kind, declared)
     verdict = check_partition(coloring, kind, exhaustive=args.all_witnesses)
@@ -158,12 +144,13 @@ def cmd_table(args) -> int:
 # strong r <= 18 and weak r <= 17.
 MAX_CONSTRUCT_ORDER = 2_000_000
 
-# Each step with its construction and whether it inverts it.
+# Each step with the `construct` function it calls, the `MappingTag` name of
+# its construction, and whether it inverts it.
 _APPLY_STEPS = {
-    "2": (two_fold, MappingTag.TWO_FOLD, False),
-    "5": (five_fold, MappingTag.FIVE_FOLD, False),
-    "i2": (inverse_two_fold, MappingTag.TWO_FOLD, True),
-    "i5": (inverse_five_fold, MappingTag.FIVE_FOLD, True),
+    "2": ("two_fold", "TWO_FOLD", False),
+    "5": ("five_fold", "FIVE_FOLD", False),
+    "i2": ("inverse_two_fold", "TWO_FOLD", True),
+    "i5": ("inverse_five_fold", "FIVE_FOLD", True),
 }
 
 
@@ -175,6 +162,8 @@ def _check_construct_order(n: int, what: str):
 
 
 def cmd_construct(args) -> int:
+    from . import construct
+
     if args.maximal is not None:
         kind = Kind.from_name(args.kind) if args.kind else Kind.STRONG
         if args.maximal > MAX_GS_R:
@@ -184,14 +173,16 @@ def cmd_construct(args) -> int:
             )
         order = gs_number(args.maximal, kind).value - 1
         _check_construct_order(order, f"--maximal {args.maximal}")
-        current = maximal_partition(args.maximal, kind)
+        current = construct.maximal_partition(args.maximal, kind)
     elif args.base is not None:
-        kind, current = base_by_name(args.base)
+        kind, current = construct.base_by_name(args.base)
         if args.kind is not None and Kind.from_name(args.kind) is not kind:
             raise UsageError(
                 f"base {args.base} belongs to the {kind.value} catalogue"
             )
     else:
+        from .core import parse_coloring_with_kind
+
         current, declared = parse_coloring_with_kind(_read_input(args.from_input))
         kind = _resolve_kind(args.kind, declared)
 
@@ -199,10 +190,10 @@ def cmd_construct(args) -> int:
     order = current.n
     for step in steps:
         _, tag, inverse = _APPLY_STEPS[step]
-        order = _order(tag, order, inverse)
+        order = construct._order(construct.MappingTag[tag], order, inverse)
         _check_construct_order(order, f"--apply {step}")
     for step in steps:
-        current = _APPLY_STEPS[step][0](current)
+        current = getattr(construct, _APPLY_STEPS[step][0])(current)
 
     if args.json:
         doc = {
@@ -218,6 +209,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .core import canonicalize, parse_coloring_with_kind
     from .structure import decompose_full
 
     coloring, _ = parse_coloring_with_kind(_read_input(args.input))
@@ -319,7 +311,7 @@ def cmd_search(args) -> int:
 # Most clauses cnf encode emits.  The text is streamed block by block, so
 # memory follows the largest block, not the whole output: 15 MB peak RSS at
 # --n 124 --r 6, but with few positions and many colors one block holds most
-# clauses (192 MB at --n 3 --r 126, 102 MB at --n 4 --r 100).  The cap
+# clauses (134 MB at --n 3 --r 126, 89 MB at --n 4 --r 100).  The cap
 # bounds the size of the output (about 40 MB near it) and the time to write
 # it.  A bigger request is refused, from the closed-form count, before any
 # clause is written.
@@ -341,6 +333,8 @@ def cmd_cnf(args) -> int:
             )
         write_dimacs(sys.stdout, args.n, args.r, kind, symmetry=args.symmetry)
         return 0
+    from .core import check_partition
+
     model = parse_model(_read_input(args.model))
     coloring = decode(model, args.n, args.r)
     _print_coloring(coloring, kind)

@@ -1,4 +1,4 @@
-"""Order-growing constructions, the base catalogue, and the closed forms.
+"""Order-growing constructions and the maximal partitions they build.
 
 Two mappings turn a Gallai-Schur partition into a larger one.  The
 two-fold construction sends [1, m] to [1, 2m+1]: every odd integer gets a
@@ -14,11 +14,11 @@ input, application does not).  Their inverses demand the full structural
 pattern on every position and report the first position breaking it.
 Maps and inverses read each pattern from one table, `_PATTERNS`.
 
-Maximal partitions with at most three colors form a small catalogue:
-strong B1, B2, B3A, B3B and weak C1, C2, C3.  Chaining the five-fold
-construction from the right base (weak C3 holds the only two-fold step)
-produces a maximal partition for every r, whose order is given in closed
-form by `gs_number`.
+Maximal partitions with at most three colors form a small catalogue,
+`values.BASE_CATALOGUE`: strong B1, B2, B3A, B3B and weak C1, C2, C3.
+Chaining the five-fold construction from the right base (weak C3 holds
+the only two-fold step) produces a maximal partition for every r, whose
+order is given in closed form by `values.gs_number`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .core import Coloring, Kind, Record, _set
+from .values import BASE_CATALOGUE, Coloring, Kind, PatternError
 
 
 class MappingTag(Enum):
@@ -34,25 +34,6 @@ class MappingTag(Enum):
 
     TWO_FOLD = "TwoFold"
     FIVE_FOLD = "FiveFold"
-
-
-class PatternError(ValueError):
-    """Input does not match the structural pattern an inverse mapping needs."""
-
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(message)
-        self.position = position
-
-
-class GsFunctionValue(Record):
-    """The Gallai-Schur number GS(r) or WGS(r); one above the maximal order."""
-
-    __slots__ = ("r", "kind", "value")
-
-    def __init__(self, r: int, kind: Kind, value: int):
-        _set(self, "r", r)
-        _set(self, "kind", kind)
-        _set(self, "value", value)
 
 
 class _Pattern(NamedTuple):
@@ -175,20 +156,6 @@ def apply_mappings(base: Coloring, tags: Iterable[MappingTag]) -> Coloring:
     return c
 
 
-# Maximal partitions with r <= 3 colors, keyed by catalogue name.  B3A is
-# the five-fold image of B1 and B3B the two-fold image of B2; likewise C3
-# is the two-fold image of C2.
-BASE_CATALOGUE: dict[str, tuple[Kind, str]] = {
-    "B1": (Kind.STRONG, "1"),
-    "B2": (Kind.STRONG, "1221"),
-    "B3A": (Kind.STRONG, "122131221"),
-    "B3B": (Kind.STRONG, "121313121"),
-    "C1": (Kind.WEAK, "11"),
-    "C2": (Kind.WEAK, "11212221"),
-    "C3": (Kind.WEAK, "12121312131313121"),
-}
-
-
 def base_by_name(name: str) -> tuple[Kind, Coloring]:
     key = name.upper()
     if key not in BASE_CATALOGUE:
@@ -205,27 +172,6 @@ def base_partitions(kind: Kind) -> list[Coloring]:
         for k, compact in BASE_CATALOGUE.values()
         if k is kind
     ]
-
-
-def gs_number(r: int, kind: Kind) -> GsFunctionValue:
-    """Closed-form strong/weak Gallai-Schur number.
-
-    Strong: 5^(r/2) for even r and 2 * 5^((r-1)/2) for odd r.  Weak: the
-    exceptional 3 at r = 1, then 9 * 5^((r-2)/2) for even r and
-    18 * 5^((r-3)/2) for odd r.  The weak value is 9/5 of the strong one
-    for every r > 1.
-    """
-    if r < 1:
-        raise ValueError(f"color count must be positive, got {r}")
-    if kind is Kind.STRONG:
-        value = 5 ** (r // 2) if r % 2 == 0 else 2 * 5 ** ((r - 1) // 2)
-    elif r == 1:
-        value = 3
-    elif r % 2 == 0:
-        value = 9 * 5 ** ((r - 2) // 2)
-    else:
-        value = 18 * 5 ** ((r - 3) // 2)
-    return GsFunctionValue(r=r, kind=kind, value=value)
 
 
 def maximal_partition(r: int, kind: Kind) -> Coloring:

@@ -1,9 +1,9 @@
-"""Colorings of integer intervals and the Gallai-Schur verifier.
+"""The Gallai-Schur verifier, the partition text forms and relabeling.
 
-A coloring assigns one of r colors to every integer in [1, n].  It is a
-strong Gallai-Schur partition when no triple a + b = c inside the interval
-is monochromatic, none is rainbow (three pairwise distinct colors), and all
-r colors actually occur.  The strong criterion counts the degenerate sums
+A coloring (`values.Coloring`) assigns one of r colors to every integer
+in [1, n].  It is a strong Gallai-Schur partition when no triple
+a + b = c inside the interval is monochromatic, none is rainbow (three
+pairwise distinct colors), and all r colors actually occur.  The strong criterion counts the degenerate sums
 a + a = 2a, so no color class may contain a weak pair {a, 2a}; the weak
 criterion only forbids monochromatic triples of three distinct integers.
 A rainbow triple always has three distinct members (a = b would force two
@@ -21,7 +21,9 @@ soon as a bad triple is completed.
 
 Two textual formats are supported: a compact digit string with digit i
 giving the color of i (usable while r <= 9), and an explicit header form
-for arbitrary color counts.  See `parse_coloring`.
+for arbitrary color counts.  See `parse_coloring`.  The coloring type
+and the other shared values live in `gskit.values`, so the layers that
+never verify or parse (search, satgen) do not load this module.
 """
 
 from __future__ import annotations
@@ -30,19 +32,7 @@ import re
 from bisect import bisect_right
 from enum import Enum
 
-
-class Kind(Enum):
-    """Strong or weak criterion selector for the monochromatic check."""
-
-    STRONG = "strong"
-    WEAK = "weak"
-
-    @classmethod
-    def from_name(cls, name: str) -> Kind:
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown kind {name!r}; expected 'strong' or 'weak'") from None
+from .values import Coloring, Kind, ParseError, Record, _join_decimal, _set
 
 
 class ViolationClass(Enum):
@@ -50,101 +40,6 @@ class ViolationClass(Enum):
     RAINBOW_SUM = "RainbowSum"
     EMPTY_COLOR = "EmptyColor"
     BAD_COLOR_RANGE = "BadColorRange"
-
-
-_set = object.__setattr__
-
-
-class Record:
-    """Base of the immutable value types (colorings, verdicts, reports).
-
-    A subclass names its fields, in constructor order, as `__slots__` and
-    stores them in its own `__init__` with `object.__setattr__`.  The base
-    gives what a frozen dataclass would: equality by type and fields, the
-    hash of the field tuple, the `Name(field=value, ...)` repr, assignment
-    and deletion raising AttributeError, and pickling through the
-    constructor (the process pool needs it).
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, self._values()
-
-
-class ParseError(ValueError):
-    """Malformed partition text; `position` is the 1-based offending spot."""
-
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(message)
-        self.position = position
-
-
-class Coloring(Record):
-    """A total coloring of [1, n] with colors drawn from [1, r].
-
-    `colors[i - 1]` is the color of integer i.  Entries are validated to be
-    positive; an entry above the declared r is representable (the explicit
-    file format allows it) and is reported by the verifier as a
-    BadColorRange violation rather than rejected here.
-    """
-
-    __slots__ = ("n", "r", "colors")
-
-    def __init__(self, n: int, r: int, colors: tuple[int, ...]):
-        if n < 1:
-            raise ValueError(f"order must be positive, got {n}")
-        if r < 1:
-            raise ValueError(f"color count must be positive, got {r}")
-        if len(colors) != n:
-            raise ValueError(f"expected {n} entries, got {len(colors)}")
-        if min(colors) < 1:
-            raise ValueError("color entries must be >= 1")
-        _set(self, "n", n)
-        _set(self, "r", r)
-        _set(self, "colors", colors)
-
-    @classmethod
-    def from_colors(cls, colors) -> Coloring:
-        """Build a coloring from a color sequence, inferring r as the maximum."""
-        colors = tuple(colors)
-        return cls(n=len(colors), r=max(colors), colors=colors)
-
-    def color_of(self, i: int) -> int:
-        return self.colors[i - 1]
-
-    def compact(self) -> str:
-        """Digit-string form; only defined while every entry is a single digit."""
-        if max(self.colors) > 9:
-            raise ValueError("compact form requires all colors <= 9")
-        return _join_decimal(self.colors, "")
-
-    def __str__(self) -> str:
-        try:
-            return self.compact()
-        except ValueError:
-            return _join_decimal(self.colors, " ")
 
 
 class Violation(Record):
@@ -285,12 +180,6 @@ def _positive_decimals(tokens, errors: dict[str, str]) -> tuple[int, ...]:
         tok = tokens[pos - 1]
         raise ParseError(errors[bad[tok]].format(pos=pos, tok=tok), position=pos)
     return tuple(map(values.__getitem__, tokens))
-
-
-def _join_decimal(colors, sep: str) -> str:
-    """Colors as decimal text joined by `sep`, formatting each distinct one once."""
-    text = {v: str(v) for v in set(colors)}
-    return sep.join(map(text.__getitem__, colors))
 
 
 def to_file_form(c: Coloring, kind: Kind) -> str:

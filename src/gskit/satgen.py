@@ -35,7 +35,7 @@ from collections.abc import Iterable, Iterator
 from operator import itemgetter
 from typing import TextIO
 
-from .core import Coloring, Kind, Record, _set
+from .values import Coloring, Kind, Record, _set
 
 
 class CnfDocument(Record):
@@ -88,8 +88,13 @@ def _gather(shape: Iterable[tuple[int, ...]], r: int):
     `shape` yields color tuples; the t-th color of a tuple indexes the t-th
     row of length r.  The getter returns the picked pieces of all clauses,
     in order, as one tuple.  An empty shape gets a getter returning ().
+    Every index is taken from one list of the 3r possible ones, so the
+    millions a rainbow shape holds share those 3r int objects; computed
+    afresh, each index past CPython's small-int cache (256, reached from
+    r = 86) would be an int object of its own.
     """
-    indices = tuple(t * r + i - 1 for colors in shape for t, i in enumerate(colors))
+    offsets = list(range(3 * r))
+    indices = tuple(offsets[t * r + i - 1] for colors in shape for t, i in enumerate(colors))
     if not indices:
         return lambda rows: ()
     return itemgetter(*indices)

@@ -45,7 +45,7 @@ import time
 from enum import Enum
 from typing import NamedTuple
 
-from .core import Coloring, Kind, Record, _set
+from .values import Coloring, Kind, Record, _set, gs_number
 
 
 class SearchMode(Enum):
@@ -392,8 +392,6 @@ def walk_limit(kind: Kind, r: int, limit: int | None = None) -> int:
     """Order ceiling of the max-order walk: `limit`, or by default
     GS(r) - 1 + STREAK, STREAK orders past the closed-form maximum."""
     if limit is None:
-        from .construct import gs_number
-
         limit = gs_number(r, kind).value - 1 + STREAK
     if limit < 1:
         raise ValueError("limit must be positive")

@@ -17,15 +17,15 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import Coloring, Kind, Record, _set, check_partition, is_canonical
+from .core import check_partition, is_canonical
 from .construct import (
     MappingTag,
-    PatternError,
     _order,
     apply_mappings,
     inverse_five_fold,
     inverse_two_fold,
 )
+from .values import Coloring, Kind, PatternError, Record, _set
 
 
 class StructureClass(Enum):

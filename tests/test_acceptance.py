@@ -13,7 +13,6 @@ from gskit.construct import (
     BASE_CATALOGUE,
     MappingTag,
     five_fold,
-    gs_number,
     inverse_five_fold,
     inverse_two_fold,
     maximal_partition,
@@ -29,6 +28,7 @@ from gskit.search import (
     run_search,
 )
 from gskit.structure import StructureClass, classify, decompose_full, peel
+from gskit.values import gs_number
 
 from oracle import naive_enumerate, naive_ok
 

@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gskit.cli import MAX_CNF_CLAUSES, MAX_CONSTRUCT_ORDER, MAX_GS_R, MAX_SEARCH_R, UsageError, main
-from gskit.construct import PatternError, five_fold, gs_number, two_fold
+from gskit.construct import PatternError, five_fold, two_fold
 from gskit.core import Kind, ParseError, parse_coloring, parse_coloring_with_kind
 from gskit.pool import WorkerError
 from gskit.satgen import clause_count, encode, to_dimacs
+from gskit.values import gs_number
 
 
 def invoke(argv, monkeypatch=None, stdin_text=None):
@@ -242,7 +243,7 @@ def test_construct_refuses_orders_above_cap(capsys, monkeypatch):
     assert gs_number(18, Kind.STRONG).value - 1 <= MAX_CONSTRUCT_ORDER
     assert gs_number(17, Kind.WEAK).value - 1 <= MAX_CONSTRUCT_ORDER
     # Refused from the closed form, before anything is built.
-    monkeypatch.setattr("gskit.cli.maximal_partition", None)
+    monkeypatch.setattr("gskit.construct.maximal_partition", None)
     assert invoke(["construct", "--maximal", "30"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -13,12 +13,12 @@ from gskit.construct import (
     base_by_name,
     base_partitions,
     five_fold,
-    gs_number,
     inverse_five_fold,
     inverse_two_fold,
     maximal_partition,
     two_fold,
 )
+from gskit.values import gs_number
 
 
 def test_two_fold_values():

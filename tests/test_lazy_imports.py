@@ -7,6 +7,7 @@ import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +27,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(repr([code, sorted(set(sys.modules) - before)]))
 """
 
-_HEAVY = {"gskit.search", "gskit.pool", "gskit.satgen", "concurrent.futures.process", "multiprocessing"}
+_HEAVY = {"concurrent.futures.process", "multiprocessing"}
 
 
 def _footprint(argv, cpus=None):
@@ -41,18 +42,31 @@ def _footprint(argv, cpus=None):
     return code, set(modules)
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "1221"],
-    ["table"],
-    ["construct", "--maximal", "4"],
-    ["decompose", "1221"],
-])
+# Each command with the layers it loads besides gskit.values.
+_COMMAND_LAYERS = {
+    ("verify", "1221"): {"core"},
+    ("table",): set(),
+    ("construct", "--maximal", "4"): {"construct"},
+    ("decompose", "1221"): {"core", "construct", "structure"},
+    ("construct", "--maximal", "10"): {"construct", "core"},  # printed in file form
+    ("construct", "--from", "1221", "--apply", "5"): {"construct", "core"},
+    ("search", "--r", "3", "--max-order"): {"search"},
+    ("search", "--r", "3", "--n", "9"): {"search"},
+    ("cnf", "encode", "--n", "4", "--r", "2"): {"satgen"},
+    ("cnf", "decode", "v 1 -2 -3 4 -5 6 7 -8 0", "--n", "4", "--r", "2"): {"satgen", "core"},
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in _COMMAND_LAYERS])
 def test_commands_load_only_their_layers(argv):
+    # Every command compiles gskit.values and then only the layers it runs.
     code, loaded = _footprint(argv)
     assert code == 0
-    assert {"gskit.core", "gskit.construct"} <= loaded
+    assert {m for m in loaded if m.startswith("gskit")} == {
+        "gskit", "gskit.cli", "gskit.values",
+        *(f"gskit.{layer}" for layer in _COMMAND_LAYERS[tuple(argv)]),
+    }
     assert not loaded & _HEAVY
-    assert ("gskit.structure" in loaded) == (argv[0] == "decompose")
 
 
 @pytest.mark.parametrize("argv", [
@@ -117,26 +131,33 @@ def test_package_import_loads_no_layer():
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=120
     )
     # A layer is loaded by its first name, and reachable as an attribute.
-    assert proc.stdout == "['gskit']\n['gskit', 'gskit.core']\ngskit.search\n"
+    assert proc.stdout == "['gskit']\n['gskit', 'gskit.values']\ngskit.search\n"
 
 
-def test_search_layer_loads_construct_only_for_the_default_limit():
-    # A fixed order or limit needs no closed form, so the search layer
-    # leaves gskit.construct unloaded until walk_limit must compute GS(r).
+def test_search_layer_never_loads_the_verifier_or_the_constructions():
+    # The search reads GS(r) for its default limit from gskit.values.
     script = (
         "import sys\n"
-        "from gskit.core import Kind\n"
         "from gskit.search import SearchConfig, SearchMode, run_search, walk_limit\n"
+        "from gskit.values import Kind\n"
         "run_search(SearchConfig(Kind.WEAK, 3, 13, SearchMode.ENUMERATE_ALL))\n"
-        "walk_limit(Kind.WEAK, 3, 13)\n"
-        "print('gskit.construct' in sys.modules)\n"
-        "walk_limit(Kind.WEAK, 3)\n"
-        "print('gskit.construct' in sys.modules)\n"
+        "print(walk_limit(Kind.WEAK, 3, 13), walk_limit(Kind.WEAK, 3))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gskit')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=120
     )
-    assert proc.stdout == "False\nTrue\n"
+    assert proc.stdout == "13 22\n['gskit', 'gskit.search', 'gskit.values']\n"
+
+
+def test_values_imports_no_gskit_module():
+    # gskit.values is the leaf every layer imports: it imports none of them.
+    source = Path(gskit.__file__).with_name("values.py").read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("gskit"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("gskit") for a in node.names)
 
 
 def test_exports_resolve_to_their_defining_layer():

@@ -1,5 +1,5 @@
 """The value records: constructor defaults, equality, hash, repr, immutability
-and pickling, for every class built on `core.Record`."""
+and pickling, for every class built on `values.Record`."""
 
 from __future__ import annotations
 
@@ -8,11 +8,12 @@ import pickle
 
 import pytest
 
-from gskit.construct import GsFunctionValue, MappingTag
+from gskit.construct import MappingTag
 from gskit.core import Coloring, Kind, Record, Verdict, Violation, ViolationClass
 from gskit.satgen import CnfDocument
 from gskit.search import SearchConfig, SearchMode, SearchReport, SubtreeTask
 from gskit.structure import Decomposition
+from gskit.values import GsFunctionValue
 
 _C = Coloring(n=4, r=2, colors=(1, 2, 2, 1))
 _V = Violation(ViolationClass.RAINBOW_SUM, triple=(1, 2, 3))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from gskit.construct import gs_number
 from gskit.core import Kind, check_partition, is_canonical
 from gskit.search import (
     STREAK,
@@ -24,6 +23,7 @@ from gskit.search import (
     run_task,
     walk_limit,
 )
+from gskit.values import gs_number
 
 from oracle import naive_dfs, naive_enumerate, naive_search_tree, scan_max_order
 
