@@ -230,11 +230,13 @@ def cmd_decompose(args) -> int:
 
 
 # Most colors search takes.  The search packs r bits per position into
-# each mask, and keeps one mask per color class at that width, so time
-# per node grows with r times the depth and memory with r^2 times the
-# depth: at r = 64, --budget 20,000 takes about 2.1 s and 45 MB, and
-# --budget 100,000 about 62 s and 138 MB.  An exhaustive answer is within
-# reach only for r of about 10 and below.
+# each mask, and keeps one mask per color class at that width, so up to
+# n / 2 time per node grows with r times the depth and memory with r^2
+# times the depth; past n / 2 the masks stop growing.  The default
+# --max-order limit at r = 64 is 5^32 + 4, so those walks never get past
+# n / 2: --budget 20,000 takes about 2.1 s and 45 MB, and --budget
+# 100,000 about 62 s and 138 MB.  An exhaustive answer is within reach
+# only for r of about 10 and below.
 MAX_SEARCH_R = 64
 
 

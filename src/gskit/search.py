@@ -16,6 +16,10 @@ by E_k, the sums a + b with a and b in two distinct classes other than k.
 The allowed colors at a position are then its r low bits, and placing a
 color updates every color's lane with a few whole-integer operations
 (broadword packing, Knuth, TAOCP 4A, 7.1.3) instead of one per color.
+The class masks hold only the positions up to n / 2: the smaller summand
+of a sum up to n is at most n / 2, so no later row is ever read.  Past
+n / 2 the masks no longer change, so the update a color makes is the
+same at every position there, and a placement is one OR and one shift.
 
 The search is one loop over an explicit stack that holds only branch
 points, the nodes with an allowed color not yet tried.  Most nodes allow
@@ -164,16 +168,23 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
     # distinct classes other than k (rainbow).  Row 0 is pos itself, so the
     # low r bits, inverted, are the allowed colors, and a child shifts the
     # mask down one row.  Row a of `others` is own[c - 1], every lane but
-    # c's, for each placed a of color c; classes[k - 1] holds every lane of
-    # the rows in class k.  Every mask stays non-negative: `~` on a long
-    # integer costs several times an `&`, so lane k is cleared with
-    # not_lane[k - 1], every lane but k's over the first `rows` rows.
+    # c's, for each placed a of color c with 2 * a <= n; classes[k - 1]
+    # holds every lane of those rows in class k.  Row a is read only as the
+    # smaller summand of a sum a + b <= n with b >= a, so rows past n / 2
+    # would never be read and are not added.  Every mask stays
+    # non-negative: `~` on a long integer costs several times an `&`, so
+    # lane k is cleared with not_lane[k - 1], every lane but k's over the
+    # first `rows` rows.
     lanes = (1 << r) - 1
     own = [lanes ^ 1 << k for k in range(r)]
     others = 0
     classes = [0] * r
     rows = 0
     not_lane: list[int] = []
+    # Past n / 2 the masks stop changing, so the update x a placement makes
+    # (below) depends on its color alone: upper[k - 1] caches it for color
+    # k once computed, and None marks it stale.
+    upper: list[int | None] = [None] * r
 
     witnesses: list[tuple[int, ...]] = []
     frontier: list[tuple[int, ...]] = []
@@ -189,8 +200,9 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
     # the stack keeps just the branch points: nodes with an allowed color
     # not yet tried, as [pos, the untried colors as a bit set, forbid,
     # maxused].  A dead end resumes the last one: it restores its forbid
-    # mask, and truncates `others` and every class it undoes a placement
-    # of to the rows below pos.
+    # mask.  At or below n / 2 it also truncates `others` and every class it
+    # undoes a placement of to the rows below pos, and drops `upper`; above
+    # n / 2 the masks hold no row it undoes.
     path: list[int] = []
     forbid = 0
     maxused = 0
@@ -225,10 +237,12 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
             elif stack:
                 branch = stack[-1]
                 pos, allowed, forbid, maxused = branch
-                keep = (1 << pos * r) - 1
-                others &= keep
-                for c in set(path[pos - 1:]):
-                    classes[c - 1] &= keep
+                if 2 * pos <= n:
+                    keep = (1 << pos * r) - 1
+                    others &= keep
+                    for c in set(path[pos - 1:]):
+                        classes[c - 1] &= keep
+                    upper = [None] * r
                 del path[pos - 1:]
                 low = allowed & -allowed
                 if allowed != low:
@@ -259,18 +273,24 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
         # Row a of x is pos + a: color k alone when a is in class k, every
         # color but k and a's own otherwise.  Under the strong kind, pos
         # joins class k first, so row pos (2 * pos = pos + pos) rules out
-        # color k too.
-        shift = pos * r
-        if strong:
+        # color k too.  Past n / 2, pos joins no mask, and x is upper[k].
+        if 2 * pos > n:
+            x = upper[k]
+            if x is None:
+                x = upper[k] = (others & not_lane[k]) ^ classes[k]
+        elif strong:
+            shift = pos * r
             others |= own[k] << shift
             classes[k] |= lanes << shift
             x = (others & not_lane[k]) ^ classes[k]
         else:
+            shift = pos * r
             x = (others & not_lane[k]) ^ classes[k]
             others |= own[k] << shift
             classes[k] |= lanes << shift
-        # Rows of x past n - pos (sums past n) are kept: they reach row 0
-        # only past n, and masking them off costs more than carrying them.
+        # x has no row past n / 2, as the masks stop there.  Its rows past
+        # n - pos (sums past n) are kept: they reach row 0 only past n, and
+        # masking them off costs more than carrying them.
         forbid = (forbid | x) >> r
         path.append(color)
         if color > maxused:

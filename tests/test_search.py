@@ -417,6 +417,12 @@ def test_engine_matches_naive_tree_walk():
     (Kind.WEAK, 4, 44),
     (Kind.WEAK, 5, 89),
     (Kind.STRONG, 5, 124),
+    # The smallest trees where a color placed past n / 2, and undone by a
+    # resume there, is placed past n / 2 again after a resume below n / 2:
+    # that resume must drop the cached x of every color, not only of the
+    # colors it undoes.
+    (Kind.STRONG, 6, 43),
+    (Kind.WEAK, 6, 43),
 ])
 def test_engine_matches_naive_dfs_at_larger_orders(kind, r, n):
     # Deep enough for the packed masks to grow and for rows past n to be
@@ -438,6 +444,8 @@ def test_engine_matches_naive_dfs_at_larger_orders(kind, r, n):
 @pytest.mark.parametrize("kind, r, limit, nodes, deepest", [
     (Kind.STRONG, 10, 3129, 108_325, 3_124),
     (Kind.WEAK, 9, 2254, 161_650, 2_249),
+    (Kind.STRONG, 11, 6254, 373_658, 6_249),
+    (Kind.WEAK, 10, 5629, 557_786, 5_624),
 ])
 def test_deepest_walks_prove_the_closed_form(kind, r, limit, nodes, deepest):
     # Orders in the thousands, where the packed masks are widest: the
