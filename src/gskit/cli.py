@@ -12,11 +12,16 @@ Positional inputs (partitions and solver models) are a file path, `-`
 for stdin, or inline text; partition content may be a digit string or
 the explicit `gspartition v1` form, whose declared kind is used when
 --kind is not given.  All JSON output has a fixed field order.
+
+`main` parses, runs and returns the exit code, and may be called
+in-process; `run` is the process entry point of `python -m gskit.cli`
+and the installed `gskit` script.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -321,6 +326,8 @@ MAX_CNF_CLAUSES = 2_000_000
 
 
 def cmd_cnf(args) -> int:
+    if args.n is None or args.r is None:
+        raise UsageError("--n and --r are required")
     from .satgen import clause_count, decode, parse_model, write_dimacs
 
     if args.n < 1 or args.r < 1:
@@ -417,15 +424,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cnf", help="DIMACS CNF encoding and model decoding "
                        f"(encode refused above {MAX_CNF_CLAUSES} clauses)")
-    p.add_argument("action", choices=["encode", "decode"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--kind", choices=["strong", "weak"], default="strong")
-    p.add_argument("--symmetry", action="store_true",
-                   help="add canonical-order symmetry-breaking clauses")
-    p.add_argument("model", nargs="?", default="-",
-                   help="solver output to decode (file, '-', or inline literals)")
-    p.set_defaults(func=cmd_cnf)
+    # Each action has its own parser, so decode's model parses before or after
+    # the flags.  The flags parse before or after the action word: an action's
+    # parser sets only the flags it is given, over the defaults set here.
+    actions = p.add_subparsers(dest="action", required=True)
+    encode = actions.add_parser("encode", argument_default=argparse.SUPPRESS,
+                                help="write DIMACS CNF to stdout")
+    decode = actions.add_parser("decode", argument_default=argparse.SUPPRESS,
+                                help="decode a solver model, print and verify it")
+    for q in (p, encode, decode):
+        q.add_argument("--n", type=int, help="order (required)")
+        q.add_argument("--r", type=int, help="number of colors (required)")
+        q.add_argument("--kind", choices=["strong", "weak"])
+        q.add_argument("--symmetry", action="store_true",
+                       help="add canonical-order symmetry-breaking clauses")
+    decode.add_argument("model", nargs="?", default="-",
+                        help="solver output to decode (file, '-', or inline literals)")
+    p.set_defaults(func=cmd_cnf, kind="strong")
 
     return parser
 
@@ -462,5 +477,26 @@ def main(argv=None) -> int:
         return 2
 
 
+def run():
+    """Run one command as its own process and exit with its code.
+
+    Both entry points come here: `python -m gskit.cli` and the installed
+    `gskit` script.  Once `main` has returned, no object the process holds
+    is needed again, yet the interpreter's shutdown collections would
+    traverse and free every module, function and class still alive.
+    `gc.freeze()` moves them all to the permanent generation, which those
+    collections skip, and the OS takes the memory back at exit.  Every
+    other shutdown step still runs: atexit handlers, the flush of stdout and
+    stderr (the broken-pipe path in `main` relies on it) and the clearing of
+    module dicts.  `os._exit` would save the same time but skip those steps.
+    The freeze is here, never in `main`, because the tests and the bench
+    call `main` in-process many times, and a freeze there would make
+    everything their process holds permanent.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

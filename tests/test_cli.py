@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -557,6 +561,49 @@ def test_cnf_decode_inline_literals(capsys):
     assert capsys.readouterr().out == "1221\n"
 
 
+_MODEL = "v 1 -2 -3 4 -5 6 7 -8 0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decode", _MODEL, "--n", "4", "--r", "2"],          # model before the flags
+    ["decode", "--n", "4", "--r", "2", _MODEL],          # model after the flags
+    ["decode", "--n", "4", _MODEL, "--r", "2"],          # model between them
+    ["--n", "4", "--r", "2", "decode", _MODEL],          # flags before the action
+    ["--n", "4", "decode", "--kind", "strong", "--r", "2", _MODEL],
+    ["decode", "--n", "4", "--r", "2"],                  # model omitted: stdin
+    ["decode", "-", "--n", "4", "--r", "2"],
+])
+def test_cnf_decode_takes_the_model_anywhere(capsys, monkeypatch, argv):
+    assert invoke(["cnf", *argv], monkeypatch, _MODEL + "\n") == 0
+    assert capsys.readouterr() == ("1221\n", "")
+
+
+def test_cnf_flags_parse_on_either_side_of_the_action(capsys):
+    assert invoke(["cnf", "encode", "--n", "5", "--r", "2", "--kind", "weak", "--symmetry"]) == 0
+    after = capsys.readouterr()
+    assert invoke(["cnf", "--kind", "weak", "--symmetry", "encode", "--n", "5", "--r", "2"]) == 0
+    assert capsys.readouterr() == after
+    assert "kind=weak symmetry=on" in after.out
+    # A flag given on both sides takes the later value, as argparse does.
+    assert invoke(["cnf", "--n", "9", "decode", "--n", "4", "--r", "2", _MODEL]) == 0
+    assert capsys.readouterr() == ("1221\n", "")
+
+
+def test_cnf_encode_takes_no_model(capsys):
+    assert invoke(["cnf", "encode", _MODEL, "--n", "4", "--r", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {_MODEL}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--r", "2"], ["decode", "--n", "4", _MODEL], ["--n", "4", "encode"],
+])
+def test_cnf_requires_n_and_r(capsys, argv):
+    assert invoke(["cnf", *argv]) == 2
+    assert capsys.readouterr() == ("", "error: --n and --r are required\n")
+
+
 def test_cnf_decode_long_inline_argument(capsys):
     # Too long to name a file, so it is read as literals, never looked up.
     assert invoke(["cnf", "decode", "1" * 300, "--n", "3", "--r", "1"]) == 2
@@ -673,6 +720,62 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "ok\n"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["verify", "123", "--kind", "weak"], 1, "rainbow (1, 2, 3)", ""),
+    (["verify", "1x1"], 2, "", "input error: "),
+    (["search", "--r", "3", "--n", "9", "--budget", "4"], 3, "inconclusive", ""),
+    (["search", "--r", "3", "--max-order", "--streak", "3"], 2, "",
+     "unrecognized arguments: --streak 3"),
+    (["construct", "--maximal", "4"], 0, "1221", ""),
+])
+def test_module_entry_matches_main(capsys, argv, code, out, err):
+    # The process exit path keeps main's code, stdout and stderr byte for byte.
+    proc = subprocess.run(
+        [sys.executable, "-m", "gskit.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert invoke(argv) == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, *capsys.readouterr())
+    assert out in proc.stdout and err in proc.stderr
+
+
+def test_main_never_freezes(capsys):
+    # Tests and the bench call main in-process; only run() freezes the heap.
+    before = gc.get_freeze_count()
+    assert invoke(["search", "--r", "3", "--max-order"]) == 0
+    assert invoke(["verify", "123"]) == 1
+    assert gc.get_freeze_count() == before
+
+
+def test_module_entry_freezes_after_main():
+    # An atexit hook runs after run() has frozen the heap, and its output is
+    # still flushed at exit.
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['gskit', 'verify', '1221']\n"
+        "runpy.run_module('gskit.cli', run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\nTrue\n", "")
+
+
+def test_script_entry_point_is_the_exit_function():
+    # The installed `gskit` script and `python -m gskit.cli` share one exit.
+    root = Path(__file__).resolve().parents[1]
+    target = re.search(r'^gskit = "gskit\.cli:(\w+)"$',
+                       (root / "pyproject.toml").read_text(), re.M).group(1)
+    tree = ast.parse((root / "src" / "gskit" / "cli.py").read_text())
+    block = next(node for node in tree.body
+                 if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{target}()"]
+    assert target == "run"
 
 
 # A small grammar of gskit command lines.  Orders, color counts and budgets
