@@ -26,18 +26,15 @@ _EXPORTS = {
         ("values", """BASE_CATALOGUE Coloring GsFunctionValue Kind ParseError
             PatternError gs_number"""),
         ("core", """Verdict Violation ViolationClass canonicalize check_partition
-            color_classes is_canonical parse_coloring parse_coloring_with_kind
-            to_file_form"""),
-        ("construct", """MappingTag apply_mappings base_by_name base_partitions
-            five_fold inverse_five_fold inverse_two_fold maximal_partition
-            two_fold"""),
-        ("structure", """Decomposition StructureClass classify decompose_full
-            peel verify_image_structure"""),
+            is_canonical parse_coloring parse_coloring_with_kind to_file_form"""),
+        ("construct", """MappingTag apply_mappings base_by_name five_fold
+            inverse_five_fold inverse_two_fold maximal_partition two_fold"""),
+        ("structure", "Decomposition StructureClass classify decompose_full peel"),
         ("search", """MaximalReport SearchConfig SearchMode SearchReport
             SubtreeTask enumerate_maximal exists_partition max_order
             parallel_split report_json run_search run_task"""),
-        ("satgen", """CnfDocument clause_census clause_count decode encode
-            parse_model satisfies to_dimacs var_index write_dimacs"""),
+        ("satgen", """CnfDocument clause_count decode encode parse_model satisfies
+            to_dimacs var_index write_dimacs"""),
     )
     for name in names.split()
 }

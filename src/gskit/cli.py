@@ -342,6 +342,8 @@ def cmd_cnf(args) -> int:
             )
         write_dimacs(sys.stdout, args.n, args.r, kind, symmetry=args.symmetry)
         return 0
+    if args.symmetry:  # `cnf --symmetry decode`: decode's own parser has no --symmetry
+        raise UsageError("--symmetry applies to encode only")
     from .core import check_partition
 
     model = parse_model(_read_input(args.model))
@@ -427,6 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # Each action has its own parser, so decode's model parses before or after
     # the flags.  The flags parse before or after the action word: an action's
     # parser sets only the flags it is given, over the defaults set here.
+    # --symmetry shapes only the encoding, so decode refuses it.
     actions = p.add_subparsers(dest="action", required=True)
     encode = actions.add_parser("encode", argument_default=argparse.SUPPRESS,
                                 help="write DIMACS CNF to stdout")
@@ -436,6 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--n", type=int, help="order (required)")
         q.add_argument("--r", type=int, help="number of colors (required)")
         q.add_argument("--kind", choices=["strong", "weak"])
+    for q in (p, encode):
         q.add_argument("--symmetry", action="store_true",
                        help="add canonical-order symmetry-breaking clauses")
     decode.add_argument("model", nargs="?", default="-",

@@ -80,7 +80,7 @@ def _forward(tag: MappingTag, c: Coloring) -> Coloring:
     shift = max(fixed)
     out = [*fixed, 0] * c.n + [*fixed]
     out[period - 1::period] = [v + shift for v in c.colors]
-    return Coloring(n=_order(tag, c.n), r=c.r + shift, colors=tuple(out))
+    return Coloring(r=c.r + shift, colors=tuple(out))
 
 
 def _inverse(tag: MappingTag, q: Coloring) -> Coloring:
@@ -107,7 +107,7 @@ def _inverse(tag: MappingTag, q: Coloring) -> Coloring:
     if q.r <= shift or q.n < 2 * period - 1:
         raise PatternError(small_error)
     colors = tuple([v - shift for v in image])
-    return Coloring(n=order, r=q.r - shift, colors=colors)
+    return Coloring(r=q.r - shift, colors=colors)
 
 
 def two_fold(p: Coloring) -> Coloring:
@@ -163,15 +163,6 @@ def base_by_name(name: str) -> tuple[Kind, Coloring]:
         raise ValueError(f"unknown base {name!r}; known bases: {known}")
     kind, compact = BASE_CATALOGUE[key]
     return kind, Coloring.from_colors(map(int, compact))
-
-
-def base_partitions(kind: Kind) -> list[Coloring]:
-    """The catalogued maximal partitions with at most three colors."""
-    return [
-        Coloring.from_colors(map(int, compact))
-        for k, compact in BASE_CATALOGUE.values()
-        if k is kind
-    ]
 
 
 def maximal_partition(r: int, kind: Kind) -> Coloring:

@@ -142,7 +142,7 @@ def _parse_file_form(text: str) -> tuple[Coloring, Kind]:
     if len(tokens) != n:
         raise ParseError(f"expected {n} entries, got {len(tokens)}", position=2)
     colors = _positive_decimals(tokens, _FILE_FORM_ERRORS)
-    return Coloring(n=n, r=r, colors=colors), kind
+    return Coloring(r=r, colors=colors), kind
 
 
 # How each text form words a bad token, by what is wrong with it.  A
@@ -336,18 +336,8 @@ def canonicalize(c: Coloring) -> Coloring:
     if order == list(range(1, len(order) + 1)):
         return c
     label = {v: i for i, v in enumerate(order, start=1)}
-    return Coloring(n=c.n, r=c.r, colors=tuple(map(label.__getitem__, c.colors)))
+    return Coloring(r=c.r, colors=tuple(map(label.__getitem__, c.colors)))
 
 
 def is_canonical(c: Coloring) -> bool:
     return canonicalize(c) is c
-
-
-def color_classes(c: Coloring) -> list[set[int]]:
-    """The color classes S_1 .. S_r; disjoint sets covering [1, n]."""
-    if any(v > c.r for v in c.colors):
-        raise ValueError("coloring has out-of-range entries")
-    classes: list[set[int]] = [set() for _ in range(c.r)]
-    for i, v in enumerate(c.colors, start=1):
-        classes[v - 1].add(i)
-    return classes

@@ -39,27 +39,16 @@ from .values import Coloring, Kind, Record, _set
 
 
 class CnfDocument(Record):
-    """A CNF instance plus the bookkeeping to interpret it.
+    """A CNF instance plus the parameters that generated it.
 
-    `labels` tags each clause with its class letter so censuses and
-    debugging stay exact; `var_index` maps (v, i) to the variable index.
-    Its list fields make it unhashable.
+    `var_index` maps (v, i) to the variable index.  The clause list makes
+    it unhashable.
     """
 
-    __slots__ = ("n", "r", "kind", "symmetry", "clauses", "labels")
+    __slots__ = ("n", "r", "kind", "symmetry", "clauses")
     __hash__ = None
 
-    def __init__(
-        self,
-        n: int,
-        r: int,
-        kind: Kind,
-        symmetry: bool,
-        clauses: list[list[int]],
-        labels: list[str],
-    ):
-        if len(labels) != len(clauses):
-            raise ValueError("labels and clauses must align")
+    def __init__(self, n: int, r: int, kind: Kind, symmetry: bool, clauses: list[list[int]]):
         num_vars = n * r
         for clause in clauses:
             if not clause:
@@ -71,7 +60,6 @@ class CnfDocument(Record):
         _set(self, "kind", kind)
         _set(self, "symmetry", symmetry)
         _set(self, "clauses", clauses)
-        _set(self, "labels", labels)
 
     @property
     def num_vars(self) -> int:
@@ -100,12 +88,10 @@ def _gather(shape: Iterable[tuple[int, ...]], r: int):
     return itemgetter(*indices)
 
 
-def _clause_blocks(
-    n: int, r: int, kind: Kind, symmetry: bool
-) -> Iterator[tuple[str, str]]:
-    """The clause set, defined once, as (label, text) blocks in DIMACS order.
+def _clause_blocks(n: int, r: int, kind: Kind, symmetry: bool) -> Iterator[str]:
+    """The clause set, defined once, as blocks of DIMACS text in order.
 
-    Each text is a run of DIMACS clause lines, every one ending in " 0\n":
+    Each block is a run of DIMACS clause lines, every one ending in " 0\n":
     one class (a) block per v, one class (b) block per c and, if r >= 3,
     one class (c) block per c, one class (d) block and, with `symmetry`,
     one class (e) block per v.  Literals come from string tables built
@@ -127,7 +113,7 @@ def _clause_blocks(
 
     at_most_one = _gather(((i, j) for i in colors for j in range(i + 1, r + 1)), r)
     for v in range(1, n + 1):
-        yield "a", " ".join(pos[v][1:]) + " 0\n" + join(at_most_one(lead[v] + tail[v]))
+        yield " ".join(pos[v][1:]) + " 0\n" + join(at_most_one(lead[v] + tail[v]))
 
     mono = _gather(((i, i, i) for i in colors), r)
     double = _gather(((i, i) for i in colors), r)
@@ -136,7 +122,7 @@ def _clause_blocks(
         texts = [join(mono(lead[a] + lead[c - a] + tc)) for a in range(1, (c + 1) // 2)]
         if strong and c % 2 == 0:
             texts.append(join(double(lead[c // 2] + tc)))
-        yield "b", join(texts)
+        yield join(texts)
 
     # The r(r - 1)(r - 2) rainbow triples are built only if a rainbow
     # clause exists: it needs a pair a < b and three colors.
@@ -145,20 +131,20 @@ def _clause_blocks(
                            if j != i and k != i and k != j), r)
         for c in range(3, n + 1):
             tc = tail[c]
-            yield "c", join([join(rainbow(lead[a] + lead[c - a] + tc))
-                             for a in range(1, (c + 1) // 2)])
+            yield join([join(rainbow(lead[a] + lead[c - a] + tc))
+                        for a in range(1, (c + 1) // 2)])
 
-    yield "d", "".join(
+    yield "".join(
         " ".join(pos[v][i] for v in range(1, n + 1)) + " 0\n" for i in colors
     )
 
     if symmetry:
-        yield "e", pos[1][1] + " 0\n"
+        yield pos[1][1] + " 0\n"
         # below[i]: the literals x[u, i] for every u below the current v.
         below = [""] + [pos[1][i] for i in colors]
         for v in range(2, n + 1):
             m = lead[v]
-            yield "e", "".join(f"{m[j - 1]}{below[j - 1]} 0\n" for j in range(2, r + 1))
+            yield "".join(f"{m[j - 1]}{below[j - 1]} 0\n" for j in range(2, r + 1))
             below = [""] + [f"{below[i]} {pos[v][i]}" for i in colors]
 
 
@@ -173,12 +159,12 @@ def encode(n: int, r: int, kind: Kind, symmetry: bool = False) -> CnfDocument:
     """
     if n < 1 or r < 1:
         raise ValueError("n and r must be positive")
-    clauses: list[list[int]] = []
-    labels: list[str] = []
-    for label, text in _clause_blocks(n, r, kind, symmetry):
-        clauses += [[int(lit) for lit in line.split()[:-1]] for line in text.splitlines()]
-        labels += [label] * (len(clauses) - len(labels))
-    return CnfDocument(n=n, r=r, kind=kind, symmetry=symmetry, clauses=clauses, labels=labels)
+    clauses = [
+        [int(lit) for lit in line.split()[:-1]]
+        for text in _clause_blocks(n, r, kind, symmetry)
+        for line in text.splitlines()
+    ]
+    return CnfDocument(n=n, r=r, kind=kind, symmetry=symmetry, clauses=clauses)
 
 
 def clause_count(n: int, r: int, kind: Kind, symmetry: bool = False) -> int:
@@ -221,15 +207,7 @@ def decode(model: list[int], n: int, r: int) -> Coloring:
         if len(found) != 1:
             raise ValueError(f"model assigns {len(found)} colors to {v}; exactly one required")
         colors.extend(found)
-    return Coloring(n=n, r=r, colors=tuple(colors))
-
-
-def clause_census(doc: CnfDocument) -> dict[str, int]:
-    """Clause counts per class letter (all five keys always present)."""
-    census = {label: 0 for label in "abcde"}
-    for label in doc.labels:
-        census[label] += 1
-    return census
+    return Coloring(r=r, colors=tuple(colors))
 
 
 def satisfies(doc: CnfDocument, c: Coloring) -> bool:
@@ -273,7 +251,7 @@ def write_dimacs(out: TextIO, n: int, r: int, kind: Kind, symmetry: bool = False
     count = clause_count(n, r, kind, symmetry)
     out.write(_dimacs_header(n, r, kind, symmetry, count))
     emitted = 0
-    for _, text in _clause_blocks(n, r, kind, symmetry):
+    for text in _clause_blocks(n, r, kind, symmetry):
         out.write(text)
         emitted += text.count("\n")
     if emitted != count:

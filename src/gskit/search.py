@@ -115,15 +115,14 @@ class SubtreeTask(Record):
 
 
 class MaximalReport(Record):
-    """What `enumerate_maximal` found: the walk's order ceiling, the
-    maximal order and whether it is proved, and the enumeration at that
-    order (None when no order up to `limit` was shown feasible).
+    """What `enumerate_maximal` found: the maximal order, whether it is
+    proved, and the enumeration at that order (None when no order up to
+    the walk's ceiling was shown feasible).
     """
 
-    __slots__ = ("limit", "m_max", "confirmed", "report")
+    __slots__ = ("m_max", "confirmed", "report")
 
-    def __init__(self, limit: int, m_max: int, confirmed: bool, report: SearchReport | None):
-        _set(self, "limit", limit)
+    def __init__(self, m_max: int, confirmed: bool, report: SearchReport | None):
         _set(self, "m_max", m_max)
         _set(self, "confirmed", confirmed)
         _set(self, "report", report)
@@ -304,7 +303,7 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
 
 def _report(cfg: SearchConfig, walk: _Walk) -> SearchReport:
     """The public form of a walk of `cfg`'s tree."""
-    witnesses = tuple(Coloring(n=cfg.n, r=cfg.r, colors=w) for w in walk.witnesses)
+    witnesses = tuple(Coloring(r=cfg.r, colors=w) for w in walk.witnesses)
     return SearchReport(witnesses=witnesses, nodes_explored=walk.nodes, exhausted=walk.exhausted)
 
 
@@ -461,16 +460,16 @@ def enumerate_maximal(
     spend up to twice either one.  A budget never raises: the answer is
     proved only when `confirmed` is True and the report is exhausted, and
     whatever was found is returned either way.  `workers` is checked as
-    in `run_search`, before the walk.
+    in `run_search`, before the walk.  The ceiling the walk used is
+    `walk_limit(kind, r, limit)`.
     """
     check_parallelism(workers)
-    limit = walk_limit(kind, r, limit)
-    m_max, confirmed = max_order(kind, r, limit, node_budget, wall_budget)
+    m_max, confirmed = max_order(kind, r, walk_limit(kind, r, limit), node_budget, wall_budget)
     report = None
     if m_max:
         cfg = SearchConfig(kind, r, m_max, SearchMode.ENUMERATE_ALL, node_budget, wall_budget)
         report = run_search(cfg, workers=workers)
-    return MaximalReport(limit=limit, m_max=m_max, confirmed=confirmed, report=report)
+    return MaximalReport(m_max=m_max, confirmed=confirmed, report=report)
 
 
 def report_json(cfg: SearchConfig, report: SearchReport) -> str:

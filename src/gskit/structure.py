@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import check_partition, is_canonical
+from .core import is_canonical
 from .construct import (
     MappingTag,
     _order,
@@ -25,7 +25,7 @@ from .construct import (
     inverse_five_fold,
     inverse_two_fold,
 )
-from .values import Coloring, Kind, PatternError, Record, _set
+from .values import Coloring, PatternError, Record, _set
 
 
 class StructureClass(Enum):
@@ -123,20 +123,3 @@ def decompose_full(c: Coloring, *, canonical: bool = False) -> Decomposition:
         tags.append(tag)
     tags.reverse()
     return Decomposition(base=current, tags=tuple(tags))
-
-
-def verify_image_structure(c: Coloring, kind: Kind) -> bool:
-    """Check that a maximal partition with r > 3 is a construction image.
-
-    The caller certifies maximality (e.g. via exhaustive search) and that
-    c is a canonical, verifier-accepted partition with more than three
-    colors.  Returns True when c matches one of the two image patterns and
-    its peeled preimage again passes the verifier.
-    """
-    _require_canonical(c)
-    if c.r <= 3:
-        raise ValueError("image structure is only asserted for r > 3")
-    if not check_partition(c, kind).ok:
-        raise ValueError("expected a verifier-accepted partition")
-    layer = _outer_layer(c)
-    return layer is not None and check_partition(layer[1], kind).ok

@@ -90,29 +90,31 @@ class Coloring(Record):
     `colors[i - 1]` is the color of integer i.  Entries are validated to be
     positive; an entry above the declared r is representable (the explicit
     file format allows it) and is reported by the verifier as a
-    BadColorRange violation rather than rejected here.
+    BadColorRange violation rather than rejected here.  The order n is
+    `len(colors)`.
     """
 
-    __slots__ = ("n", "r", "colors")
+    __slots__ = ("r", "colors")
 
-    def __init__(self, n: int, r: int, colors: tuple[int, ...]):
-        if n < 1:
-            raise ValueError(f"order must be positive, got {n}")
+    def __init__(self, r: int, colors: tuple[int, ...]):
+        if not colors:
+            raise ValueError("order must be positive, got 0")
         if r < 1:
             raise ValueError(f"color count must be positive, got {r}")
-        if len(colors) != n:
-            raise ValueError(f"expected {n} entries, got {len(colors)}")
         if min(colors) < 1:
             raise ValueError("color entries must be >= 1")
-        _set(self, "n", n)
         _set(self, "r", r)
         _set(self, "colors", colors)
+
+    @property
+    def n(self) -> int:
+        return len(self.colors)
 
     @classmethod
     def from_colors(cls, colors) -> Coloring:
         """Build a coloring from a color sequence, inferring r as the maximum."""
         colors = tuple(colors)
-        return cls(n=len(colors), r=max(colors), colors=colors)
+        return cls(r=max(colors), colors=colors)
 
     def color_of(self, i: int) -> int:
         return self.colors[i - 1]

@@ -46,7 +46,7 @@ def test_criterion_1_catalogue_verification():
                     continue
                 mutated = list(base.colors)
                 mutated[pos] = other
-                bad = Coloring(n=base.n, r=base.r, colors=tuple(mutated))
+                bad = Coloring(r=base.r, colors=tuple(mutated))
                 assert not check_partition(bad, kind).ok, (name, pos, other)
     print("PASS criterion 1: catalogue verifies; single mutations all fail")
 
@@ -143,7 +143,7 @@ def test_criterion_7_oracle_equivalence():
             for n in range(1, 7):
                 doc = encode(n, r, kind)
                 for colors in itertools.product(range(1, r + 1), repeat=n):
-                    c = Coloring(n=n, r=r, colors=colors)
+                    c = Coloring(r=r, colors=colors)
                     want = naive_ok(colors, kind.value) and set(colors) == set(
                         range(1, r + 1)
                     )

@@ -596,6 +596,20 @@ def test_cnf_encode_takes_no_model(capsys):
     assert f"unrecognized arguments: {_MODEL}" in captured.err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["cnf", "decode", "--symmetry", "--n", "4", "--r", "2", _MODEL],
+     "gskit: error: unrecognized arguments: --symmetry\n"),
+    (["cnf", "--symmetry", "decode", "--n", "4", "--r", "2", _MODEL],
+     "error: --symmetry applies to encode only\n"),
+])
+def test_cnf_decode_refuses_symmetry(capsys, argv, err):
+    # The flag shapes only the encoding; decode used to accept and ignore it.
+    assert invoke(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(err) and captured.err.count("error:") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["encode", "--r", "2"], ["decode", "--n", "4", _MODEL], ["--n", "4", "encode"],
 ])

@@ -11,7 +11,6 @@ from gskit.construct import (
     PatternError,
     apply_mappings,
     base_by_name,
-    base_partitions,
     five_fold,
     inverse_five_fold,
     inverse_two_fold,
@@ -81,7 +80,7 @@ def test_mappings_preserve_canonical_form():
 def test_inverse_roundtrips():
     # Inverses are structural, so they round-trip arbitrary colorings.
     for colors in [(1,), (1, 2, 2, 1), (2, 1, 3), (1, 1, 1, 1, 1)]:
-        p = Coloring(n=len(colors), r=max(colors), colors=colors)
+        p = Coloring(r=max(colors), colors=colors)
         assert inverse_two_fold(two_fold(p)) == p
         assert inverse_five_fold(five_fold(p)) == p
 
@@ -109,7 +108,7 @@ def test_inverse_five_fold_pattern_errors():
         inverse_five_fold(parse_coloring("122111221"))
     assert exc.value.position == 5
     with pytest.raises(PatternError):
-        inverse_five_fold(Coloring(n=4, r=3, colors=(1, 2, 2, 1)))
+        inverse_five_fold(Coloring(r=3, colors=(1, 2, 2, 1)))
 
 
 def test_apply_mappings_innermost_first():
@@ -141,20 +140,6 @@ def test_base_by_name():
     assert kind is Kind.STRONG and str(c) == "1221"
     with pytest.raises(ValueError):
         base_by_name("B9")
-
-
-def test_base_partitions_split_by_kind():
-    assert [str(c) for c in base_partitions(Kind.STRONG)] == [
-        "1",
-        "1221",
-        "122131221",
-        "121313121",
-    ]
-    assert [str(c) for c in base_partitions(Kind.WEAK)] == [
-        "11",
-        "11212221",
-        "12121312131313121",
-    ]
 
 
 def test_gs_number_closed_forms():

@@ -18,7 +18,6 @@ from gskit.core import (
     canonicalize,
     _bad_sums,
     check_partition,
-    color_classes,
     is_canonical,
     parse_coloring,
     parse_coloring_with_kind,
@@ -95,13 +94,11 @@ def test_file_form_refuses_declared_r_above_n():
 
 def test_coloring_validation():
     with pytest.raises(ValueError):
-        Coloring(n=0, r=1, colors=())
+        Coloring(r=1, colors=())
     with pytest.raises(ValueError):
-        Coloring(n=2, r=1, colors=(1,))
+        Coloring(r=1, colors=(0,))
     with pytest.raises(ValueError):
-        Coloring(n=1, r=1, colors=(0,))
-    with pytest.raises(ValueError):
-        Coloring(n=3, r=12, colors=(1, 11, 12)).compact()
+        Coloring(r=12, colors=(1, 11, 12)).compact()
 
 
 def test_verifier_weak_pair_is_strong_only():
@@ -123,7 +120,7 @@ def test_verifier_rainbow():
 
 
 def test_verifier_empty_color():
-    c = Coloring(n=2, r=2, colors=(1, 1))
+    c = Coloring(r=2, colors=(1, 1))
     verdict = check_partition(c, Kind.WEAK)
     assert not verdict.ok
     assert verdict.violations[0].category is ViolationClass.EMPTY_COLOR
@@ -131,7 +128,7 @@ def test_verifier_empty_color():
 
 
 def test_verifier_bad_color_range_reported_first():
-    c = Coloring(n=3, r=2, colors=(1, 2, 3))
+    c = Coloring(r=2, colors=(1, 2, 3))
     verdict = check_partition(c, Kind.STRONG)
     assert not verdict.ok
     assert verdict.violations[0].category is ViolationClass.BAD_COLOR_RANGE
@@ -169,21 +166,19 @@ def test_canonicalize():
 
 
 def test_canonicalize_idempotent_and_unused_colors():
-    c = Coloring(n=3, r=4, colors=(3, 1, 3))
+    c = Coloring(r=4, colors=(3, 1, 3))
     canon = canonicalize(c)
     assert canon.colors == (1, 2, 1)
     assert canon.r == 4
     assert canonicalize(canon) == canon
     with pytest.raises(ValueError):
-        canonicalize(Coloring(n=2, r=1, colors=(1, 2)))
+        canonicalize(Coloring(r=1, colors=(1, 2)))
 
 
 def test_verdict_invariant_under_relabeling():
     base = parse_coloring("122131221")
     for perm in itertools.permutations((1, 2, 3)):
-        relabeled = Coloring(
-            n=base.n, r=base.r, colors=tuple(perm[v - 1] for v in base.colors)
-        )
+        relabeled = Coloring(r=base.r, colors=tuple(perm[v - 1] for v in base.colors))
         for kind in (Kind.STRONG, Kind.WEAK):
             assert (
                 check_partition(relabeled, kind).ok
@@ -192,18 +187,11 @@ def test_verdict_invariant_under_relabeling():
         assert canonicalize(relabeled) == base
 
 
-def test_color_classes_partition():
-    c = parse_coloring("1221")
-    classes = color_classes(c)
-    assert classes == [{1, 4}, {2, 3}]
-    assert set().union(*classes) == {1, 2, 3, 4}
-
-
 def test_verifier_matches_naive_oracle_small():
     for kind in (Kind.STRONG, Kind.WEAK):
         for n in range(1, 9):
             for colors in itertools.product((1, 2, 3), repeat=n):
-                c = Coloring(n=n, r=max(colors), colors=colors)
+                c = Coloring(r=max(colors), colors=colors)
                 got = check_partition(c, kind).ok
                 want = naive_ok(colors, kind.value) and set(colors) == set(
                     range(1, c.r + 1)
@@ -244,7 +232,7 @@ def _colorings(draw):
 @given(case=_colorings(), kind=st.sampled_from(list(Kind)), exhaustive=st.booleans())
 def test_verifier_witnesses_match_naive_oracle(case, kind, exhaustive):
     colors, r = case
-    verdict = check_partition(Coloring(n=len(colors), r=r, colors=colors), kind, exhaustive)
+    verdict = check_partition(Coloring(r=r, colors=colors), kind, exhaustive)
     assert _entries(verdict) == naive_violations(colors, r, kind.value, exhaustive)
 
 
@@ -281,5 +269,5 @@ def test_verifier_r12_mutant_reports_first_pair_at_mutation():
     # Every triple below pos is untouched, so the first witness has c = pos.
     first = naive_pairs_at(colors, pos, "strong")
     assert first
-    verdict = check_partition(Coloring(n=len(colors), r=12, colors=colors), Kind.STRONG)
+    verdict = check_partition(Coloring(r=12, colors=colors), Kind.STRONG)
     assert _entries(verdict) == [first[0] + (None,)]

@@ -155,7 +155,7 @@ def _near_image(rng: random.Random, forward, extra: int) -> Coloring:
     colors = list(forward(base).colors)
     for _ in range(rng.choice([0, 1, 1, 2, 3])):
         colors[rng.randrange(len(colors))] = rng.randint(1, base.r + extra + 1)
-    return Coloring(n=len(colors), r=max(max(colors), base.r + extra), colors=tuple(colors))
+    return Coloring(r=max(max(colors), base.r + extra), colors=tuple(colors))
 
 
 @pytest.mark.parametrize("seed", range(4))

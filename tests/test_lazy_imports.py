@@ -170,6 +170,42 @@ def test_exports_resolve_to_their_defining_layer():
     assert gskit.search is importlib.import_module("gskit.search")
 
 
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _names_used(source: str) -> set[str]:
+    """Every name or attribute `source` reads, except those read inside the
+    definition of a function or class of the same name."""
+    used = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in defining:
+                used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(source), frozenset())
+    return used
+
+
+def test_every_export_has_a_caller():
+    # A public name stays only while the library, the bench harness or the
+    # acceptance criteria use it.
+    sources = [p for p in (_ROOT / "src" / "gskit").glob("*.py") if p.name != "__init__.py"]
+    sources += [*(_ROOT / "bench").glob("*.py"), _ROOT / "tests" / "test_acceptance.py"]
+    used = set().union(*(_names_used(p.read_text()) for p in sources))
+    assert sorted(set(gskit.__all__) - used) == []
+
+
+def test_the_caller_check_skips_a_name_used_only_in_its_own_definition():
+    source = "def f():\n    return f\n\nclass C:\n    g = C\n\nh = f\n"
+    assert _names_used(source) == {"f"}
+
+
 def test_star_import_and_dir_cover_all():
     namespace: dict = {}
     exec("from gskit import *", namespace)

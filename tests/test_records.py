@@ -11,17 +11,17 @@ import pytest
 from gskit.construct import MappingTag
 from gskit.core import Coloring, Kind, Record, Verdict, Violation, ViolationClass
 from gskit.satgen import CnfDocument
-from gskit.search import SearchConfig, SearchMode, SearchReport, SubtreeTask
+from gskit.search import MaximalReport, SearchConfig, SearchMode, SearchReport, SubtreeTask
 from gskit.structure import Decomposition
 from gskit.values import GsFunctionValue
 
-_C = Coloring(n=4, r=2, colors=(1, 2, 2, 1))
+_C = Coloring(r=2, colors=(1, 2, 2, 1))
 _V = Violation(ViolationClass.RAINBOW_SUM, triple=(1, 2, 3))
 _CFG = SearchConfig(kind=Kind.WEAK, r=3, n=17)
 
 # Each record with the repr a frozen dataclass of the same fields prints.
 _RECORDS = [
-    (_C, "Coloring(n=4, r=2, colors=(1, 2, 2, 1))"),
+    (_C, "Coloring(r=2, colors=(1, 2, 2, 1))"),
     (_V, "Violation(category=<ViolationClass.RAINBOW_SUM: 'RainbowSum'>, "
          "triple=(1, 2, 3), color=None)"),
     (Violation(ViolationClass.EMPTY_COLOR, color=3),
@@ -32,8 +32,8 @@ _RECORDS = [
      "'RainbowSum'>, triple=(1, 2, 3), color=None),))"),
     (GsFunctionValue(r=2, kind=Kind.STRONG, value=5),
      "GsFunctionValue(r=2, kind=<Kind.STRONG: 'strong'>, value=5)"),
-    (Decomposition(base=Coloring(n=1, r=1, colors=(1,)), tags=(MappingTag.FIVE_FOLD,)),
-     "Decomposition(base=Coloring(n=1, r=1, colors=(1,)), "
+    (Decomposition(base=Coloring(r=1, colors=(1,)), tags=(MappingTag.FIVE_FOLD,)),
+     "Decomposition(base=Coloring(r=1, colors=(1,)), "
      "tags=(<MappingTag.FIVE_FOLD: 'FiveFold'>,))"),
     (_CFG,
      "SearchConfig(kind=<Kind.WEAK: 'weak'>, r=3, n=17, mode=<SearchMode.FIRST_WITNESS: "
@@ -42,15 +42,19 @@ _RECORDS = [
      "SearchConfig(kind=<Kind.STRONG: 'strong'>, r=2, n=4, mode=<SearchMode.ENUMERATE_ALL: "
      "'enumerate-all'>, node_budget=10, wall_budget=1.5)"),
     (SearchReport(witnesses=(_C,), nodes_explored=7, exhausted=True),
-     "SearchReport(witnesses=(Coloring(n=4, r=2, colors=(1, 2, 2, 1)),), "
+     "SearchReport(witnesses=(Coloring(r=2, colors=(1, 2, 2, 1)),), "
      "nodes_explored=7, exhausted=True)"),
     (SubtreeTask(config=_CFG, prefix=(1, 2)),
      "SubtreeTask(config=SearchConfig(kind=<Kind.WEAK: 'weak'>, r=3, n=17, "
      "mode=<SearchMode.FIRST_WITNESS: 'first-witness'>, node_budget=None, "
      "wall_budget=None), prefix=(1, 2))"),
-    (CnfDocument(n=1, r=1, kind=Kind.STRONG, symmetry=False, clauses=[[1]], labels=["a"]),
+    (MaximalReport(m_max=4, confirmed=True,
+                   report=SearchReport(witnesses=(_C,), nodes_explored=7, exhausted=True)),
+     "MaximalReport(m_max=4, confirmed=True, report=SearchReport(witnesses=(Coloring(r=2, "
+     "colors=(1, 2, 2, 1)),), nodes_explored=7, exhausted=True))"),
+    (CnfDocument(n=1, r=1, kind=Kind.STRONG, symmetry=False, clauses=[[1]]),
      "CnfDocument(n=1, r=1, kind=<Kind.STRONG: 'strong'>, symmetry=False, "
-     "clauses=[[1]], labels=['a'])"),
+     "clauses=[[1]])"),
 ]
 _IDS = [type(rec).__name__ for rec, _ in _RECORDS]
 
@@ -64,7 +68,7 @@ def _rebuilt(rec):
 
 
 def test_every_value_class_is_a_record():
-    assert len({type(rec) for rec, _ in _RECORDS}) == 9
+    assert len({type(rec) for rec, _ in _RECORDS}) == 10
     for rec, _ in _RECORDS:
         assert isinstance(rec, Record)
         assert not hasattr(rec, "__dict__")  # fields live in slots only
@@ -85,7 +89,7 @@ def test_equality_by_type_and_fields(rec, text):
 
 
 def test_equality_sees_every_field():
-    assert Coloring(n=4, r=3, colors=(1, 2, 2, 1)) != _C
+    assert Coloring(r=3, colors=(1, 2, 2, 1)) != _C
     assert Violation(ViolationClass.RAINBOW_SUM, triple=(1, 2, 3), color=1) != _V
     assert SearchConfig(kind=Kind.WEAK, r=3, n=17, wall_budget=2.0) != _CFG
 
@@ -134,20 +138,18 @@ def test_constructor_defaults_and_keywords():
     assert (cfg.node_budget, cfg.wall_budget) == (None, None)
     assert SearchConfig(kind=Kind.STRONG, n=4, r=2) == cfg
     with pytest.raises(TypeError):
-        Coloring(4, 2)
+        Coloring(2)
     with pytest.raises(TypeError):
         SearchConfig(Kind.STRONG, 2, 4, streak=5)
 
 
 def test_constructor_validation_is_kept():
-    with pytest.raises(ValueError, match="order must be positive"):
-        Coloring(n=0, r=1, colors=())
+    with pytest.raises(ValueError, match="order must be positive, got 0"):
+        Coloring(r=1, colors=())
     with pytest.raises(ValueError, match="color count must be positive"):
-        Coloring(n=1, r=0, colors=(1,))
-    with pytest.raises(ValueError, match="expected 2 entries, got 1"):
-        Coloring(n=2, r=1, colors=(1,))
+        Coloring(r=0, colors=(1,))
     with pytest.raises(ValueError, match="color entries must be >= 1"):
-        Coloring(n=3, r=2, colors=(1, 0, 2))
+        Coloring(r=2, colors=(1, 0, 2))
     with pytest.raises(ValueError, match="r and n must be positive"):
         SearchConfig(Kind.STRONG, 0, 4)
     with pytest.raises(ValueError, match="node budget must be positive"):
@@ -162,12 +164,13 @@ def test_derived_values_are_read_only_properties():
     verdict = Verdict(violations=(_V,))
     assert verdict.ok is False
     assert Verdict(violations=()).ok is True
-    doc = CnfDocument(n=3, r=2, kind=Kind.WEAK, symmetry=False, clauses=[[6]], labels=["d"])
+    doc = CnfDocument(n=3, r=2, kind=Kind.WEAK, symmetry=False, clauses=[[6]])
     assert doc.num_vars == 6
-    dec = Decomposition(base=Coloring(n=1, r=1, colors=(1,)),
+    dec = Decomposition(base=Coloring(r=1, colors=(1,)),
                         tags=(MappingTag.FIVE_FOLD, MappingTag.TWO_FOLD))
     assert dec.original_order == 19 == dec.replay().n
-    for rec, name in ((verdict, "ok"), (doc, "num_vars"), (dec, "original_order")):
+    assert _C.n == 4
+    for rec, name in ((verdict, "ok"), (doc, "num_vars"), (dec, "original_order"), (_C, "n")):
         assert name not in type(rec).__slots__
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(rec, name, 0)

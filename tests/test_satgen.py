@@ -1,4 +1,4 @@
-"""CNF encoding: clause shapes, censuses, decoding, solver cross-checks."""
+"""CNF encoding: clause shapes, clause counts, decoding, solver cross-checks."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from gskit.core import Coloring, Kind, canonicalize, check_partition
 from gskit.satgen import (
     CnfDocument,
-    clause_census,
     clause_count,
     decode,
     encode,
@@ -34,38 +33,14 @@ def test_variable_indexing():
 def test_single_cell_document():
     doc = encode(1, 1, Kind.STRONG)
     assert doc.num_vars == 1
-    assert satisfies(doc, Coloring(n=1, r=1, colors=(1,)))
-
-
-def test_census_frozen_values():
-    # n = 9, r = 3, strong: 9 at-least-one + 27 at-most-one pairs;
-    # 20 pairs a <= b with a + b <= 9 times 3 colors; 16 pairs a < b
-    # times 6 ordered distinct color triples; 3 non-empty clauses.
-    doc = encode(9, 3, Kind.STRONG)
-    assert clause_census(doc) == {"a": 36, "b": 60, "c": 96, "d": 3, "e": 0}
-
-
-def test_census_examples():
-    assert clause_census(encode(3, 3, Kind.STRONG))["c"] == 6
-    assert clause_census(encode(4, 2, Kind.STRONG))["c"] == 0
-    census = clause_census(encode(4, 2, Kind.STRONG, symmetry=True))
-    assert census["e"] == 1 + 3 * 1  # unit plus one precedence row per v >= 2
-
-
-def test_weak_drops_equal_pair_clauses():
-    strong = clause_census(encode(8, 2, Kind.STRONG))
-    weak = clause_census(encode(8, 2, Kind.WEAK))
-    # Pairs a = b with 2a <= 8 exist for a = 1..4, one clause per color.
-    assert strong["b"] - weak["b"] == 4 * 2
+    assert satisfies(doc, Coloring(r=1, colors=(1,)))
 
 
 def test_document_invariants_enforced():
     with pytest.raises(ValueError, match="empty clause"):
-        CnfDocument(n=2, r=2, kind=Kind.STRONG, symmetry=False, clauses=[[]], labels=["a"])
+        CnfDocument(n=2, r=2, kind=Kind.STRONG, symmetry=False, clauses=[[]])
     with pytest.raises(ValueError, match="literal out of range"):
-        CnfDocument(n=2, r=2, kind=Kind.STRONG, symmetry=False, clauses=[[5]], labels=["a"])
-    with pytest.raises(ValueError, match="labels and clauses must align"):
-        CnfDocument(n=2, r=2, kind=Kind.STRONG, symmetry=False, clauses=[[1]], labels=["a", "b"])
+        CnfDocument(n=2, r=2, kind=Kind.STRONG, symmetry=False, clauses=[[5]])
 
 
 def test_decode_examples():
@@ -100,7 +75,7 @@ def test_encoding_equivalent_to_verifier_plus_nonempty():
             for n in range(1, 7):
                 doc = encode(n, r, kind)
                 for colors in itertools.product(range(1, r + 1), repeat=n):
-                    c = Coloring(n=n, r=r, colors=colors)
+                    c = Coloring(r=r, colors=colors)
                     want = naive_ok(colors, kind.value) and set(colors) == set(
                         range(1, r + 1)
                     )
@@ -109,8 +84,8 @@ def test_encoding_equivalent_to_verifier_plus_nonempty():
 
 def test_symmetry_restricts_to_canonical_models():
     doc = encode(4, 2, Kind.STRONG, symmetry=True)
-    assert satisfies(doc, Coloring(n=4, r=2, colors=(1, 2, 2, 1)))
-    assert not satisfies(doc, Coloring(n=4, r=2, colors=(2, 1, 1, 2)))
+    assert satisfies(doc, Coloring(r=2, colors=(1, 2, 2, 1)))
+    assert not satisfies(doc, Coloring(r=2, colors=(2, 1, 1, 2)))
 
 
 def test_unsat_instances_via_solver():

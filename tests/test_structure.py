@@ -19,7 +19,6 @@ from gskit.structure import (
     classify,
     decompose_full,
     peel,
-    verify_image_structure,
 )
 
 from oracle import naive_five_fold_preimage, naive_two_fold_preimage
@@ -37,7 +36,7 @@ def test_classify_degenerate_orders_are_base():
     # when the color pattern vacuously matches.
     assert classify(parse_coloring("1")) is StructureClass.BASE
     assert classify(parse_coloring("11")) is StructureClass.BASE
-    assert classify(Coloring(n=4, r=3, colors=(1, 2, 2, 1))) is StructureClass.BASE
+    assert classify(Coloring(r=3, colors=(1, 2, 2, 1))) is StructureClass.BASE
 
 
 def test_classify_requires_canonical():
@@ -49,12 +48,7 @@ def test_classify_requires_canonical():
         decompose_full(parse_coloring("2112"))
 
 
-@pytest.mark.parametrize("call", [
-    classify,
-    peel,
-    decompose_full,
-    lambda c: verify_image_structure(c, Kind.STRONG),
-])
+@pytest.mark.parametrize("call", [classify, peel, decompose_full])
 def test_non_canonical_input_message_names_no_caller(call):
     # One check and one message, whichever entry point was called.
     with pytest.raises(ValueError) as info:
@@ -68,11 +62,11 @@ def test_classify_image_patterns_are_exact():
     assert classify(image) is StructureClass.FIVE_FOLD_IMAGE
     # Truncating one entry breaks the order residue; shifting a color
     # breaks the positional pattern.
-    truncated = Coloring(n=image.n - 1, r=image.r, colors=image.colors[:-1])
+    truncated = Coloring(r=image.r, colors=image.colors[:-1])
     assert classify(truncated) is StructureClass.BASE
     mutated = list(image.colors)
     mutated[2] = 1  # residue 3 must carry color 2
-    assert classify(Coloring(n=image.n, r=image.r, colors=tuple(mutated))) \
+    assert classify(Coloring(r=image.r, colors=tuple(mutated))) \
         is StructureClass.BASE
 
 
@@ -131,32 +125,20 @@ def test_decomposition_tags_innermost_first():
     assert str(dec.base) == "1221"
 
 
-def test_verify_image_structure_on_maximal_instances():
-    assert verify_image_structure(maximal_partition(4, Kind.STRONG), Kind.STRONG)
-    assert verify_image_structure(maximal_partition(5, Kind.STRONG), Kind.STRONG)
-    assert verify_image_structure(maximal_partition(4, Kind.WEAK), Kind.WEAK)
-    assert verify_image_structure(maximal_partition(5, Kind.WEAK), Kind.WEAK)
+def test_maximal_partitions_peel_to_verified_preimages():
     # The two-fold image of a four-color maximal partition is a five-color
     # partition whose outer layer is TwoFold; still an image.
-    assert verify_image_structure(
-        two_fold(maximal_partition(4, Kind.STRONG)), Kind.STRONG
-    )
-
-
-def test_verify_image_structure_rejects_non_images():
+    cases = [(maximal_partition(r, kind), kind) for kind in Kind for r in (4, 5)]
+    cases.append((two_fold(maximal_partition(4, Kind.STRONG)), Kind.STRONG))
+    for c, kind in cases:
+        assert check_partition(c, kind).ok
+        _, preimage = peel(c)
+        assert check_partition(preimage, kind).ok
+    # Dropping the last entry keeps a valid partition but breaks the pattern.
     image = maximal_partition(4, Kind.STRONG)
-    truncated = Coloring(n=image.n - 1, r=image.r, colors=image.colors[:-1])
+    truncated = Coloring(r=image.r, colors=image.colors[:-1])
     assert check_partition(truncated, Kind.STRONG).ok
-    assert not verify_image_structure(truncated, Kind.STRONG)
-
-
-def test_verify_image_structure_preconditions():
-    with pytest.raises(ValueError):
-        verify_image_structure(parse_coloring("122131221"), Kind.STRONG)  # r = 3
-    with pytest.raises(ValueError):
-        verify_image_structure(
-            Coloring(n=4, r=4, colors=(1, 2, 3, 4)), Kind.STRONG
-        )  # rainbow (1, 2, 3): not verifier-accepted
+    assert classify(truncated) is StructureClass.BASE
 
 
 def test_decomposition_dataclass_shape():
@@ -170,10 +152,10 @@ def _assert_matches_image_oracle(c: Coloring):
     two = naive_two_fold_preimage(c.colors, c.r)
     if five is not None:
         cls = StructureClass.FIVE_FOLD_IMAGE
-        layer = (MappingTag.FIVE_FOLD, Coloring(n=len(five), r=c.r - 2, colors=five))
+        layer = (MappingTag.FIVE_FOLD, Coloring(r=c.r - 2, colors=five))
     elif two is not None:
         cls = StructureClass.TWO_FOLD_IMAGE
-        layer = (MappingTag.TWO_FOLD, Coloring(n=len(two), r=c.r - 1, colors=two))
+        layer = (MappingTag.TWO_FOLD, Coloring(r=c.r - 1, colors=two))
     else:
         cls = StructureClass.BASE
         layer = None
@@ -197,7 +179,7 @@ def test_classify_and_peel_match_image_oracle_on_small_colorings():
                 for v in range(1, min(max(colors, default=0) + 1, r) + 1)
             ]
             for colors in level:
-                _assert_matches_image_oracle(Coloring(n=len(colors), r=r, colors=colors))
+                _assert_matches_image_oracle(Coloring(r=r, colors=colors))
 
 
 def test_classify_and_peel_match_image_oracle_on_image_mutants():
@@ -211,5 +193,5 @@ def test_classify_and_peel_match_image_oracle_on_image_mutants():
                 for v in range(1, image.r + 1):
                     if v != old:
                         colors = image.colors[:i] + (v,) + image.colors[i + 1:]
-                        mutant = Coloring(n=image.n, r=image.r, colors=colors)
+                        mutant = Coloring(r=image.r, colors=colors)
                         _assert_matches_image_oracle(canonicalize(mutant))
