@@ -287,18 +287,15 @@ def cmd_search(args) -> int:
         return 0 if confirmed else 3
 
     mode = SearchMode.ENUMERATE_ALL if args.enumerate else SearchMode.FIRST_WITNESS
-    if args.n is None:
-        # --enumerate at the maximal order: enumerate_maximal defines the
-        # flow, and gives the walk and the enumeration the full --budget and
-        # --wall each.
+    if args.n is None:  # --enumerate at the maximal order, in one walk
         found = enumerate_maximal(kind, args.r, limit, node_budget=args.budget,
                                   wall_budget=args.wall, workers=args.workers)
         if found.report is None:
             _err(f"no feasible order up to {limit}")
             return 1 if found.confirmed else 3
-        n, confirmed, report = found.m_max, found.confirmed, found.report
+        n, report = found.m_max, found.report
     else:
-        n, confirmed = args.n, True
+        n = args.n
         cfg = SearchConfig(kind, args.r, n, mode, args.budget, args.wall)
         report = run_search(cfg, workers=args.workers)
     if args.json:
@@ -308,7 +305,8 @@ def cmd_search(args) -> int:
             print(str(w))
         if not report.witnesses:
             print("infeasible" if report.exhausted else "inconclusive (budget exhausted)")
-    if not confirmed or (not report.exhausted and mode is SearchMode.ENUMERATE_ALL):
+    # An unconfirmed m_max comes from a walk cut short, so it ends here too.
+    if not report.exhausted and mode is SearchMode.ENUMERATE_ALL:
         return 3
     if report.witnesses:
         return 0
@@ -371,13 +369,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-witnesses", action="store_true",
                    help="report every violation, not just the first")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("table", help="print the closed-form maximal-order table")
     p.add_argument("--kind", choices=["strong", "weak"], default="strong")
     p.add_argument("--max-r", type=int, default=6)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_table)
+    p.set_defaults(func=cmd_table, parser=p)
 
     p = sub.add_parser("construct", help="build partitions from bases and mappings")
     start = p.add_mutually_exclusive_group(required=True)
@@ -393,12 +391,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"refused if an order would exceed {MAX_CONSTRUCT_ORDER}")
     p.add_argument("--kind", choices=["strong", "weak"], default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_construct, parser=p)
 
     p = sub.add_parser("decompose", help="peel a partition down to a base")
     p.add_argument("input", help="file, '-', or inline digit string")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func=cmd_decompose, parser=p)
 
     p = sub.add_parser("search", help="exhaustive backtracking search")
     p.add_argument("--kind", choices=["strong", "weak"], default="strong")
@@ -413,16 +411,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         "--n (default: GS(r) - 1 + 5; any ceiling above "
                         "GS(r) - 1 gives the same answer)")
     p.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
-    p.add_argument("--budget", type=int, default=None,
-                   help="node budget (with --enumerate and no --n, for the "
-                        "max-order walk and the enumeration each, as in "
-                        "search.enumerate_maximal)")
-    p.add_argument("--wall", type=float, default=None,
-                   help="wall-clock budget, seconds (with --enumerate and no "
-                        "--n, for the max-order walk and the enumeration "
-                        "each, as in search.enumerate_maximal)")
+    p.add_argument("--budget", type=int, default=None, help="node budget")
+    p.add_argument("--wall", type=float, default=None, help="wall-clock budget, seconds")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_search)
+    p.set_defaults(func=cmd_search, parser=p)
 
     p = sub.add_parser("cnf", help="DIMACS CNF encoding and model decoding "
                        f"(encode refused above {MAX_CNF_CLAUSES} clauses)")
@@ -436,6 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     decode = actions.add_parser("decode", argument_default=argparse.SUPPRESS,
                                 help="decode a solver model, print and verify it")
     for q in (p, encode, decode):
+        q.set_defaults(parser=q)  # names the parser in usage errors
         q.add_argument("--n", type=int, help="order (required)")
         q.add_argument("--r", type=int, help="number of colors (required)")
         q.add_argument("--kind", choices=["strong", "weak"])
@@ -450,7 +443,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # An argument no parser took is reported with the usage of its sub-parser.
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         code = args.func(args)
         sys.stdout.flush()

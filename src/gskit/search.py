@@ -32,13 +32,13 @@ The sequential depth-first order is the reference semantics.  One
 driver, `_drive`, walks the tree in one piece or splits it into subtree
 tasks below the prefix depth `default_split_depth` picks from the config
 alone, and merges the tasks' `_Walk` records with the shallow walk above
-them by one rule per field: witnesses concatenate in prefix order, nodes
-add, the run is exhausted when every task is, and the deepest order is
-the max.  The merge equals the sequential walk, so worker count never
-changes the output.  Split tasks run on child processes started with
-`os.fork` (see `gskit.pool`).  First-witness runs, runs with a budget,
-runs on one worker or one CPU, and runs where `os.fork` is missing are
-never split.
+them by one rule per field: the deepest order is the max, the witnesses
+of the walks that reach it concatenate in prefix order, nodes add, and
+the run is exhausted when every walk is.  The merge equals the
+sequential walk, so worker count never changes the output.  Split tasks
+run on child processes started with `os.fork` (see `gskit.pool`).
+First-witness runs, runs with a budget, runs on one worker or one CPU,
+and runs where `os.fork` is missing are never split.
 """
 
 from __future__ import annotations
@@ -129,8 +129,9 @@ class MaximalReport(Record):
 
 
 class _Walk(NamedTuple):
-    """What one walk found.  `nodes` counts assignments strictly below its
-    prefix; `deepest` is the largest order below it shown feasible, or 0."""
+    """What one walk found, all strictly below its prefix: `nodes` counts
+    assignments, `deepest` is the largest order shown feasible (or 0), and
+    `witnesses` its full-color paths (first-witness: the one at n)."""
 
     witnesses: list[tuple[int, ...]]
     nodes: int
@@ -216,11 +217,6 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
             if pos > last:
                 if pos > stop:
                     frontier.append(tuple(path))
-                elif maxused == r:
-                    witnesses.append(tuple(path))
-                    if first_witness:
-                        exhausted = False
-                        break
                 allowed = 0
             elif maxused == r:
                 allowed = (forbid & lanes) ^ lanes
@@ -294,16 +290,23 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
         path.append(color)
         if color > maxused:
             maxused = color
-        if maxused == r and pos > deepest:
-            deepest = pos
+        if maxused == r and pos >= deepest and pos > forced:
+            if pos > deepest:
+                deepest, witnesses = pos, []
+            if not first_witness:
+                witnesses.append(tuple(path))
+            elif pos == n < stop:
+                witnesses, exhausted = [tuple(path)], False
+                break
         pos += 1
 
     return _Walk(witnesses, nodes, exhausted, frontier, deepest if deepest > forced else 0)
 
 
 def _report(cfg: SearchConfig, walk: _Walk) -> SearchReport:
-    """The public form of a walk of `cfg`'s tree."""
-    witnesses = tuple(Coloring(r=cfg.r, colors=w) for w in walk.witnesses)
+    """The public form of a walk of `cfg`'s tree, witnesses of length n only."""
+    found = walk.witnesses if walk.deepest == cfg.n else ()
+    witnesses = tuple(Coloring(r=cfg.r, colors=w) for w in found)
     return SearchReport(witnesses=witnesses, nodes_explored=walk.nodes, exhausted=walk.exhausted)
 
 
@@ -377,12 +380,14 @@ def _drive(cfg: SearchConfig, workers: int = 1) -> _Walk:
         walks = run_forked(_walk_task, tasks, procs)
     else:
         walks = [_walk_task(t) for t in tasks]
+    walks.insert(0, shallow)
+    deepest = max(walk.deepest for walk in walks)
     return _Walk(
-        witnesses=[w for walk in walks for w in walk.witnesses],
-        nodes=shallow.nodes + sum(walk.nodes for walk in walks),
+        witnesses=[w for walk in walks if walk.deepest == deepest for w in walk.witnesses],
+        nodes=sum(walk.nodes for walk in walks),
         exhausted=all(walk.exhausted for walk in walks),
         frontier=[],
-        deepest=max([shallow.deepest] + [walk.deepest for walk in walks]),
+        deepest=deepest,
     )
 
 
@@ -440,7 +445,7 @@ def max_order(
         raise ValueError("limit must be positive")
     cfg = SearchConfig(kind, r, limit, SearchMode.FIRST_WITNESS, node_budget, wall_budget)
     walk = _drive(cfg)
-    return walk.deepest, walk.exhausted or bool(walk.witnesses)
+    return walk.deepest, walk.exhausted or walk.deepest == limit
 
 
 def enumerate_maximal(
@@ -453,23 +458,22 @@ def enumerate_maximal(
 ) -> MaximalReport:
     """Every maximal r-color partition of the given kind, up to relabeling.
 
-    Finds the maximal order with `max_order`, up to `limit` (by default
-    `walk_limit(kind, r)`), then enumerates all canonical witnesses at
-    that order, in lexicographic order, with `run_search`.  The node and
-    wall budgets apply to each phase separately, so the whole call may
-    spend up to twice either one.  A budget never raises: the answer is
-    proved only when `confirmed` is True and the report is exhausted, and
-    whatever was found is returned either way.  `workers` is checked as
-    in `run_search`, before the walk.  The ceiling the walk used is
-    `walk_limit(kind, r, limit)`.
+    One enumerate-all walk of the canonical tree to the ceiling
+    `walk_limit(kind, r, limit)` answers it all: m_max is its deepest
+    order, confirmed as in `max_order`, and the report holds the
+    full-color paths of that length, in lexicographic order, with the
+    walk's node count.  At a ceiling of GS(r) - 1 or more that walk enters
+    exactly the nodes of the walk at n = m_max (see the README).  The budgets cap the whole
+    walk and never raise: a budgeted report holds the paths at the deepest
+    order reached within it.  `workers` is checked as in `run_search`,
+    before the walk, and splits it in the same way.
     """
     check_parallelism(workers)
-    m_max, confirmed = max_order(kind, r, walk_limit(kind, r, limit), node_budget, wall_budget)
-    report = None
-    if m_max:
-        cfg = SearchConfig(kind, r, m_max, SearchMode.ENUMERATE_ALL, node_budget, wall_budget)
-        report = run_search(cfg, workers=workers)
-    return MaximalReport(m_max=m_max, confirmed=confirmed, report=report)
+    limit = walk_limit(kind, r, limit)
+    cfg = SearchConfig(kind, r, limit, SearchMode.ENUMERATE_ALL, node_budget, wall_budget)
+    walk = _drive(cfg, workers)
+    report = _report(SearchConfig(kind, r, walk.deepest), walk) if walk.deepest else None
+    return MaximalReport(walk.deepest, walk.exhausted or walk.deepest == limit, report)
 
 
 def report_json(cfg: SearchConfig, report: SearchReport) -> str:

@@ -111,12 +111,17 @@ def naive_dfs(kind: str, r: int, n: int, mode: str, budget, stop_depth, prefix: 
     used, when no pair a + b = c at its new position c is monochromatic
     or rainbow.  Nodes count the children entered, up to `budget`;
     `deepest` is the longest entered word that uses all r colors.  A word
-    of length `stop_depth` or more goes to the frontier unexpanded; one of
-    length n is a witness when it uses all r colors.  A word that needs
-    more new colors than positions remain has no children.  `mode` is
-    "first-witness" or "enumerate-all"."""
+    of length `stop_depth` or more goes to the frontier unexpanded, and
+    one of length n has no children.  A word that needs more new colors
+    than positions remain has no children.  `mode` is "first-witness" or
+    "enumerate-all".  In enumerate-all mode the witnesses are the entered
+    words of length `deepest` that use all r colors; first-witness mode
+    stops at the first such word of length n below `stop_depth`, its one
+    witness."""
     strong = kind == "strong"
     witnesses: list[tuple[int, ...]] = []
+    full: list[tuple[int, ...]] = []
+    stops_at_n = mode == "first-witness" and (stop_depth is None or n < stop_depth)
     frontier: list[tuple[int, ...]] = []
     count = {"nodes": 0, "deepest": 0}
 
@@ -140,10 +145,6 @@ def naive_dfs(kind: str, r: int, n: int, mode: str, budget, stop_depth, prefix: 
             frontier.append(word)
             return
         if len(word) == n:
-            if used == r:
-                witnesses.append(word)
-                if mode == "first-witness":
-                    raise Stop
             return
         if r - used > n - len(word):
             return
@@ -156,6 +157,10 @@ def naive_dfs(kind: str, r: int, n: int, mode: str, budget, stop_depth, prefix: 
             count["nodes"] += 1
             if max(used, color) == r:
                 count["deepest"] = max(count["deepest"], len(child))
+                full.append(child)
+                if stops_at_n and len(child) == n:
+                    witnesses.append(child)
+                    raise Stop
             visit(child)
 
     try:
@@ -163,6 +168,8 @@ def naive_dfs(kind: str, r: int, n: int, mode: str, budget, stop_depth, prefix: 
         exhausted = True
     except Stop:
         exhausted = False
+    if mode == "enumerate-all":
+        witnesses = [w for w in full if len(w) == count["deepest"]]
     return witnesses, count["nodes"], exhausted, frontier, count["deepest"]
 
 

@@ -593,12 +593,14 @@ def test_cnf_encode_takes_no_model(capsys):
     assert invoke(["cnf", "encode", _MODEL, "--n", "4", "--r", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"unrecognized arguments: {_MODEL}" in captured.err
+    # The usage and the error line name the parser the model was given to.
+    assert captured.err.startswith("usage: gskit cnf encode [-h]")
+    assert captured.err.endswith(f"gskit cnf encode: error: unrecognized arguments: {_MODEL}\n")
 
 
 @pytest.mark.parametrize("argv, err", [
     (["cnf", "decode", "--symmetry", "--n", "4", "--r", "2", _MODEL],
-     "gskit: error: unrecognized arguments: --symmetry\n"),
+     "gskit cnf decode: error: unrecognized arguments: --symmetry\n"),
     (["cnf", "--symmetry", "decode", "--n", "4", "--r", "2", _MODEL],
      "error: --symmetry applies to encode only\n"),
 ])

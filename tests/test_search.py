@@ -23,7 +23,7 @@ from gskit.search import (
     run_task,
     walk_limit,
 )
-from gskit.values import gs_number
+from gskit.values import Coloring, gs_number
 
 from oracle import naive_dfs, naive_enumerate, naive_search_tree, scan_max_order
 
@@ -219,6 +219,44 @@ def test_enumerate_maximal_is_the_cli_flow(capsys, kind, r, budget):
     assert code == (0 if found.confirmed and found.report.exhausted else 3)
 
 
+def _two_phase_maximal(kind, r):
+    """`enumerate_maximal` by its definition: the maximal order from the
+    max-order walk, then a second walk enumerating that order."""
+    m_max, confirmed = max_order(kind, r, walk_limit(kind, r))
+    cfg = SearchConfig(kind=kind, r=r, n=m_max, mode=SearchMode.ENUMERATE_ALL)
+    return m_max, confirmed, run_search(cfg)
+
+
+@pytest.mark.parametrize("kind, r", [
+    *[(Kind.STRONG, r) for r in range(1, 9)],
+    *[(Kind.WEAK, r) for r in range(1, 8)],
+])
+def test_enumerate_maximal_is_the_two_phase_definition(kind, r):
+    # Past GS(r) - 1 the walk to the ceiling enters exactly the nodes of
+    # the walk at m_max, so one walk gives the enumeration's node count.
+    found = enumerate_maximal(kind, r)
+    assert (found.m_max, found.confirmed, found.report) == _two_phase_maximal(kind, r)
+
+
+def test_enumerate_maximal_walks_once(monkeypatch):
+    calls = []
+    real_explore = _explore
+
+    def counting_explore(cfg, prefix, stop_depth):
+        calls.append((cfg.n, cfg.mode))
+        return real_explore(cfg, prefix, stop_depth)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second walk was started")
+
+    monkeypatch.setattr("gskit.search._explore", counting_explore)
+    monkeypatch.setattr("gskit.search.max_order", refuse)
+    monkeypatch.setattr("gskit.search.run_search", refuse)
+    found = enumerate_maximal(Kind.WEAK, 4)
+    assert calls == [(walk_limit(Kind.WEAK, 4), SearchMode.ENUMERATE_ALL)]
+    assert (found.m_max, found.confirmed, found.report.exhausted) == (44, True, True)
+
+
 def test_parallel_split_examples():
     tasks = parallel_split(_cfg(Kind.STRONG, 2, 4, SearchMode.ENUMERATE_ALL), 0)
     assert [t.prefix for t in tasks] == [()]
@@ -237,6 +275,9 @@ def test_parallel_split_partitions_the_tree(monkeypatch):
         nodes_below = 0
         for task in tasks:
             rep = run_task(task)
+            # A prefix of length n is a leaf, never its own task's witness.
+            if len(task.prefix) == cfg.n and max(task.prefix) == cfg.r:
+                merged.append(Coloring(cfg.r, task.prefix))
             merged.extend(rep.witnesses)
             nodes_below += rep.nodes_explored
         assert tuple(merged) == sequential.witnesses, depth
@@ -288,9 +329,9 @@ def test_run_search_checks_parallelism_before_searching(monkeypatch, mode):
 @pytest.mark.parametrize("workers", [0, -1])
 def test_enumerate_maximal_checks_parallelism_before_the_walk(monkeypatch, workers):
     def walk(*args, **kwargs):
-        raise AssertionError("max_order was called")
+        raise AssertionError("_drive was called")
 
-    monkeypatch.setattr("gskit.search.max_order", walk)
+    monkeypatch.setattr("gskit.search._drive", walk)
     with pytest.raises(ValueError, match="^worker count must be positive$"):
         enumerate_maximal(Kind.STRONG, 9, workers=workers)
 
@@ -365,13 +406,17 @@ def test_engine_counts_are_pinned(kind, r, n, mode, budget, want):
 def _walk_oracle_tree(tree, r, n, mode, budget, stop_depth, prefix):
     """What `_explore` returns, read off the oracle's depth-first node list:
     the prefix's node first, then the nodes below it down to the stop
-    depth, each counted as it is entered until the budget is spent."""
+    depth, each counted as it is entered until the budget is spent.  The
+    witnesses are the entered full-color words of the final deepest
+    length, or the first of length n below the stop depth, where a
+    first-witness walk stops; the prefix is never its own witness."""
     below = [
         p for p in tree
         if len(p) > len(prefix) and p[: len(prefix)] == prefix
         and (stop_depth is None or len(p) <= stop_depth)
     ]
-    witnesses, frontier = [], []
+    witnesses, full, frontier = [], [], []
+    stops_at_n = mode is SearchMode.FIRST_WITNESS and (stop_depth is None or n < stop_depth)
     nodes = deepest = 0
     exhausted = True
     for i, p in enumerate([prefix] + below):
@@ -382,13 +427,15 @@ def _walk_oracle_tree(tree, r, n, mode, budget, stop_depth, prefix):
             nodes += 1
             if max(p) == r:
                 deepest = max(deepest, len(p))
+                full.append(p)
+                if stops_at_n and len(p) == n:
+                    witnesses.append(p)
+                    exhausted = False
+                    break
         if stop_depth is not None and len(p) >= stop_depth:
             frontier.append(p)
-        elif len(p) == n and max(p, default=0) == r:
-            witnesses.append(p)
-            if mode is SearchMode.FIRST_WITNESS:
-                exhausted = False
-                break
+    if mode is SearchMode.ENUMERATE_ALL:
+        witnesses = [p for p in full if len(p) == deepest]
     return witnesses, nodes, exhausted, frontier, deepest
 
 
@@ -457,13 +504,21 @@ def test_deepest_walks_prove_the_closed_form(kind, r, limit, nodes, deepest):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("kind, r, count", [
-    (Kind.STRONG, 9, 5),
-    (Kind.STRONG, 10, 1),
-    (Kind.WEAK, 9, 4),
+@pytest.mark.parametrize("kind, r, count, nodes", [
+    (Kind.STRONG, 9, 5, 31_401),
+    (Kind.STRONG, 10, 1, 108_325),
+    (Kind.STRONG, 11, 6, 373_658),
+    (Kind.WEAK, 8, 1, 46_892),
+    (Kind.WEAK, 9, 4, 161_650),
+    (Kind.WEAK, 10, 1, 557_786),
 ])
-def test_deepest_maximal_enumerations(kind, r, count):
-    witnesses = enumerate_maximal(kind, r).report.witnesses
+def test_deepest_maximal_enumerations(kind, r, count, nodes):
+    # The node counts are those of the enumeration at m_max alone, and of
+    # the max-order walk (test_deepest_walks_prove_the_closed_form).
+    found = enumerate_maximal(kind, r)
+    assert found.confirmed and found.report.exhausted
+    assert found.report.nodes_explored == nodes
+    witnesses = found.report.witnesses
     assert len(witnesses) == count
     for w in witnesses:
         assert (w.n, w.r) == (gs_number(r, kind).value - 1, r)

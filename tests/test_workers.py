@@ -170,12 +170,13 @@ def test_worker_failures_surface_after_cleanup(monkeypatch, forks, walk_task, er
 
 @pytest.mark.parametrize("cfg", [
     SearchConfig(kind=Kind.STRONG, r=3, n=9, mode=SearchMode.ENUMERATE_ALL),
-    # Past the maximal order: no witness, and the deepest order is 9.
+    # Past the maximal order: the walk keeps the paths of its deepest order,
+    # 9; at split depth 12 the shallow walk holds them all.
     SearchConfig(kind=Kind.STRONG, r=3, n=12, mode=SearchMode.ENUMERATE_ALL),
     _SMALL,
     _CFG,
 ])
-@pytest.mark.parametrize("split_depth", [1, 2, 4, None])
+@pytest.mark.parametrize("split_depth", [1, 2, 4, 12, None])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_split_walks_merge_into_the_sequential_walk(monkeypatch, cfg, split_depth, workers):
     # Witnesses, nodes, exhausted and deepest, each merged by its own rule,
@@ -227,13 +228,13 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_cli_output_on_two_workers_is_exact():
-    argv = ["search", "--kind", "weak", "--r", "5", "--n", "89", "--enumerate", "--json"]
+def _cli_runs(argv, patch=""):
+    """The stdout of the command at --workers 1 and 2, keyed by the count."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     runs = {}
     for workers in ("1", "2"):
         proc = subprocess.run(
-            [sys.executable, "-c", _CLI, *argv, "--workers", workers],
+            [sys.executable, "-c", patch + _CLI, *argv, "--workers", workers],
             capture_output=True,
             check=True,
             timeout=120,
@@ -241,8 +242,34 @@ def test_cli_output_on_two_workers_is_exact():
         )
         assert proc.stderr == b""
         runs[workers] = proc.stdout
+    return runs
+
+
+def test_cli_output_on_two_workers_is_exact():
+    argv = ["search", "--kind", "weak", "--r", "5", "--n", "89", "--enumerate", "--json"]
+    runs = _cli_runs(argv)
     assert runs["1"] == runs["2"]
     report = report_json(_CFG, exists_partition(_CFG))
+    assert runs["2"] == b"before the search\n" + report.encode() + b"\n"
+
+
+@pytest.mark.parametrize("kind, r, split_depth", [
+    # The walk to the ceiling 94 splits at depth 8, below m_max = 89.
+    (Kind.WEAK, 5, None),
+    # Above m_max = 9: the shallow walk holds the deepest order, and no task
+    # is left below it.
+    (Kind.STRONG, 3, 12),
+])
+def test_cli_maximal_enumeration_on_two_workers_is_exact(kind, r, split_depth):
+    argv = ["search", "--kind", kind.value, "--r", str(r), "--enumerate", "--json"]
+    patch = "" if split_depth is None else (
+        f"import gskit.search\ngskit.search.default_split_depth = lambda cfg: {split_depth}\n"
+    )
+    runs = _cli_runs(argv, patch)
+    assert runs["1"] == runs["2"]
+    found = search.enumerate_maximal(kind, r)
+    cfg = SearchConfig(kind=kind, r=r, n=found.m_max, mode=SearchMode.ENUMERATE_ALL)
+    report = report_json(cfg, found.report)
     assert runs["2"] == b"before the search\n" + report.encode() + b"\n"
 
 
