@@ -355,8 +355,20 @@ def cmd_cnf(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that refuses its own leftover arguments, so a usage error
+    names the parser (root or sub-command) that could not take them.
+    `add_subparsers` gives every sub-parser this class too."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gskit",
         description="Verify, construct, decompose, search, and encode "
         "sum-avoiding rainbow-free partitions of [1, n].",
@@ -369,13 +381,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-witnesses", action="store_true",
                    help="report every violation, not just the first")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify, parser=p)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="print the closed-form maximal-order table")
     p.add_argument("--kind", choices=["strong", "weak"], default="strong")
     p.add_argument("--max-r", type=int, default=6)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_table, parser=p)
+    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("construct", help="build partitions from bases and mappings")
     start = p.add_mutually_exclusive_group(required=True)
@@ -391,12 +403,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"refused if an order would exceed {MAX_CONSTRUCT_ORDER}")
     p.add_argument("--kind", choices=["strong", "weak"], default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_construct, parser=p)
+    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("decompose", help="peel a partition down to a base")
     p.add_argument("input", help="file, '-', or inline digit string")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_decompose, parser=p)
+    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("search", help="exhaustive backtracking search")
     p.add_argument("--kind", choices=["strong", "weak"], default="strong")
@@ -414,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None, help="node budget")
     p.add_argument("--wall", type=float, default=None, help="wall-clock budget, seconds")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_search, parser=p)
+    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("cnf", help="DIMACS CNF encoding and model decoding "
                        f"(encode refused above {MAX_CNF_CLAUSES} clauses)")
@@ -428,7 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
     decode = actions.add_parser("decode", argument_default=argparse.SUPPRESS,
                                 help="decode a solver model, print and verify it")
     for q in (p, encode, decode):
-        q.set_defaults(parser=q)  # names the parser in usage errors
         q.add_argument("--n", type=int, help="order (required)")
         q.add_argument("--r", type=int, help="number of colors (required)")
         q.add_argument("--kind", choices=["strong", "weak"])
@@ -443,10 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # An argument no parser took is reported with the usage of its sub-parser.
-    args, extra = _build_parser().parse_known_args(argv)
-    if extra:
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

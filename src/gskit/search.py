@@ -22,11 +22,12 @@ n / 2 the masks no longer change, so the update a color makes is the
 same at every position there, and a placement is one OR and one shift.
 
 The search is one loop over an explicit stack that holds only branch
-points, the nodes with an allowed color not yet tried.  Most nodes allow
-exactly one color; they get no stack entry, and a dead end returns to the
-last branch point in one step.  Every placement a dead end undoes lies at
-or above that branch point, so cutting the masks down to the rows below
-it undoes them all at once.
+points.  No node allows more than two colors (the README proves it), so
+a branch point tries the lower one and defers the other.  Most nodes
+allow exactly one color; they get no stack entry, and a dead end pops the
+last branch point and places its deferred color in one step.  Every
+placement a dead end undoes lies at or above that branch point, so
+cutting the masks down to the rows below it undoes them all at once.
 
 The sequential depth-first order is the reference semantics.  One
 driver, `_drive`, walks the tree in one piece or splits it into subtree
@@ -197,17 +198,17 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
 
     # `path` holds the colors placed at 1 .. pos - 1, and (forbid, maxused)
     # the state of the node at pos.  Most nodes allow one color only, so
-    # the stack keeps just the branch points: nodes with an allowed color
-    # not yet tried, as [pos, the untried colors as a bit set, forbid,
-    # maxused].  A dead end resumes the last one: it restores its forbid
-    # mask.  At or below n / 2 it also truncates `others` and every class it
-    # undoes a placement of to the rows below pos, and drops `upper`; above
-    # n / 2 the masks hold no row it undoes.
+    # the stack keeps just the branch points: nodes that allow two colors,
+    # as (pos, the bit of the deferred higher color, forbid, maxused).  A
+    # dead end pops the last one, restores its forbid mask and places the
+    # deferred color.  At or below n / 2 it also truncates `others` and
+    # every class it undoes a placement of to the rows below pos, and drops
+    # `upper`; above n / 2 the masks hold no row it undoes.
     path: list[int] = []
     forbid = 0
     maxused = 0
     pos = 1
-    stack: list[list] = []
+    stack: list[tuple[int, int, int, int]] = []
     while True:
         if pos <= forced:
             color = prefix[pos - 1]
@@ -228,10 +229,9 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
             if allowed:
                 low = allowed & -allowed
                 if allowed != low:
-                    stack.append([pos, allowed ^ low, forbid, maxused])
+                    stack.append((pos, allowed ^ low, forbid, maxused))
             elif stack:
-                branch = stack[-1]
-                pos, allowed, forbid, maxused = branch
+                pos, low, forbid, maxused = stack.pop()
                 if 2 * pos <= n:
                     keep = (1 << pos * r) - 1
                     others &= keep
@@ -239,11 +239,6 @@ def _explore(cfg: SearchConfig, prefix: tuple[int, ...], stop_depth: int | None)
                         classes[c - 1] &= keep
                     upper = [None] * r
                 del path[pos - 1:]
-                low = allowed & -allowed
-                if allowed != low:
-                    branch[1] = allowed ^ low
-                else:
-                    stack.pop()
             else:
                 break
             if node_budget is not None and nodes >= node_budget:

@@ -38,7 +38,7 @@ class Record:
     gives what a frozen dataclass would: equality by type and fields, the
     hash of the field tuple, the `Name(field=value, ...)` repr, assignment
     and deletion raising AttributeError, and pickling through the
-    constructor (the process pool needs it).
+    constructor.
     """
 
     __slots__ = ()

@@ -612,12 +612,52 @@ def test_cnf_decode_refuses_symmetry(capsys, argv, err):
     assert captured.err.endswith(err) and captured.err.count("error:") == 1
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["--bogus", "verify", "1221"],
+     "usage: gskit [-h] {verify,table,construct,decompose,search,cnf} ...\n"
+     "gskit: error: unrecognized arguments: --bogus\n"),
+    (["cnf", "--bogus", "encode", "--n", "4", "--r", "2"],
+     "usage: gskit cnf [-h] [--n N] [--r R] [--kind {strong,weak}] [--symmetry]\n"
+     "                 {encode,decode} ...\n"
+     "gskit cnf: error: unrecognized arguments: --bogus\n"),
+    (["verify", "1221", "--bogus"],
+     "usage: gskit verify [-h] [--kind {strong,weak}] [--all-witnesses] [--json]\n"
+     "                    input\n"
+     "gskit verify: error: unrecognized arguments: --bogus\n"),
+], ids=["root", "cnf", "verify"])
+def test_unknown_argument_names_the_parser_it_was_given_to(capsys, monkeypatch, argv, err):
+    # Each parser refuses its own leftovers, so a flag given to the root or
+    # to `cnf` is not blamed on the sub-command parsed after it.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to it
+    assert invoke(argv) == 2
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("argv", [
     ["encode", "--r", "2"], ["decode", "--n", "4", _MODEL], ["--n", "4", "encode"],
 ])
 def test_cnf_requires_n_and_r(capsys, argv):
     assert invoke(["cnf", *argv]) == 2
     assert capsys.readouterr() == ("", "error: --n and --r are required\n")
+
+
+_HEADER = "gspartition v1 kind=strong r=2 n=4\n"
+
+
+@pytest.mark.parametrize("argv, stdin, code, out, err", [
+    (["search", "--r", "3", "--n", "0"], None, 2, "", "error: --n must be at least 1\n"),
+    (["verify", "-"], _HEADER + "1 2 2 1", 2, "", "input error: missing trailing newline\n"),
+    (["verify", "-"], _HEADER + "1 2 2 1\n\n", 2, "",
+     "input error: expected exactly 2 lines, got 3\n"),
+    (["verify", "-"], "gspartition v1 kind=strong r=2 n=0\n\n", 2, "",
+     "input error: r and n must be positive\n"),
+    (["verify", "-"], _HEADER + "1 3 2 1\n", 1, "color 3 out of range\n", ""),
+    (["cnf", "decode", "-", "--n", "4", "--r", "2"], "UNSAT\n", 2, "",
+     "error: solver reported unsatisfiable; no model to decode\n"),
+], ids=["n-0", "no-trailing-newline", "three-lines", "header-n-0", "color-above-r", "unsat"])
+def test_error_paths_print_their_one_line(capsys, monkeypatch, argv, stdin, code, out, err):
+    assert invoke(argv, monkeypatch, stdin) == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_cnf_decode_long_inline_argument(capsys):

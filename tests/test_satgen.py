@@ -147,6 +147,7 @@ def test_parse_model_formats():
     assert parse_model("s SATISFIABLE\nv 1 -2\nv 3 0\n") == [1, -2, 3]
     assert parse_model("SAT\n1 -2 3 0\n") == [1, -2, 3]
     assert parse_model("c note\n1 -2 3\n") == [1, -2, 3]
+    assert parse_model("v\nv 1 -2 0\n") == [1, -2]  # an empty v line is skipped
     with pytest.raises(ValueError):
         parse_model("s UNSATISFIABLE\n")
     with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from gskit.core import Kind, check_partition, is_canonical
@@ -25,7 +27,7 @@ from gskit.search import (
 )
 from gskit.values import Coloring, gs_number
 
-from oracle import naive_dfs, naive_enumerate, naive_search_tree, scan_max_order
+from oracle import naive_dfs, naive_enumerate, naive_pairs_at, naive_search_tree, scan_max_order
 
 
 def _cfg(kind, r, n, mode=SearchMode.FIRST_WITNESS, **kw):
@@ -144,6 +146,18 @@ def test_max_order_matches_per_order_scan():
                     want = scan_max_order(feasible.__getitem__, limit, streak)
                     got = max_order(kind, r, limit)
                     assert got == (want, True), (kind, r, limit, streak)
+
+
+@pytest.mark.parametrize("kind, r", [
+    *[(Kind.STRONG, r) for r in range(1, 8)],
+    *[(Kind.WEAK, r) for r in range(1, 7)],
+    pytest.param(Kind.WEAK, 7, marks=pytest.mark.slow),
+])
+def test_every_order_from_2_pow_r_minus_1_to_the_maximum_is_feasible(kind, r):
+    # So a --limit in this range walks the enumeration at that order (see
+    # the README's search section).
+    for n in range(2 ** (r - 1), gs_number(r, kind).value):
+        assert exists_partition(_cfg(kind, r, n)).witnesses, (kind, r, n)
 
 
 def test_max_order_proves_closed_form():
@@ -456,6 +470,40 @@ def test_engine_matches_naive_tree_walk():
                                 )
                                 got = _explore(cfg, prefix, stop_depth)
                                 assert got == want, (kind, r, n, mode, budget, stop_depth, prefix)
+
+
+def _canonical_words(r, length):
+    """Every canonical word over r colors of length at most `length`, valid
+    or not, shortest first."""
+    words = [()]
+    for w in words:  # grows as it is read
+        if len(w) < length:
+            words += [w + (c,) for c in range(1, min(max(w, default=0) + 1, r) + 1)]
+    return words
+
+
+@pytest.mark.parametrize("kind", ["strong", "weak"])
+def test_no_canonical_word_extends_by_more_than_two_colors(kind):
+    # The README's lemma: whatever the word holds, at most two candidate
+    # colors at the next position close no bad triple there, so a branch
+    # point of the engine defers exactly one color.
+    most = 0
+    for r, length in ((1, 9), (2, 9), (3, 9), (4, 9), (5, 7)):
+        for w in _canonical_words(r, length):
+            p = len(w) + 1
+            top = min(max(w, default=0) + 1, r)
+            fits = [c for c in range(1, top + 1) if not naive_pairs_at(w + (c,), p, kind)]
+            assert len(fits) <= 2, w
+            most = max(most, len(fits))
+    assert most == 2
+
+
+def test_no_search_tree_node_has_more_than_two_children():
+    for kind in ("strong", "weak"):
+        for r, n in ((3, 9), (4, 8)):
+            tree = naive_search_tree(kind, r, n)
+            children = Counter(p[:-1] for p in tree)
+            assert max(children.values()) == 2, (kind, r, n)
 
 
 @pytest.mark.parametrize("kind, r, n", [
