@@ -24,6 +24,7 @@ import argparse
 import gc
 import os
 import sys
+from itertools import chain, islice
 from pathlib import Path
 
 from .values import BASE_CATALOGUE, Coloring, Kind, ParseError, PatternError, gs_number
@@ -47,16 +48,21 @@ _NAME_MAX = 255
 
 def _read_input(arg: str) -> str:
     # Every positional input (partition or solver model) goes through
-    # here.  Existing files and "-" are read; anything else is handed to
-    # the parser as inline text so errors name the offending position.  An
-    # argument is looked up as a file only when it could name one: asking
-    # the OS about a longer single name fails with ENAMETOOLONG.
+    # here.  "-" and any existing path but a directory are read (a file, a
+    # pipe such as <(...) or /dev/stdin, a device); anything else is handed
+    # to the parser as inline text so errors name the offending position.
+    # An argument is looked up as a path only when it could name one:
+    # asking the OS about a longer single name fails with ENAMETOOLONG.
     if arg == "-":
         return sys.stdin.read()
     pathlike = "/" in arg or arg.endswith(".txt")
-    if (pathlike or len(os.fsencode(arg)) <= _NAME_MAX) and Path(arg).is_file():
-        return Path(arg).read_text()
-    if pathlike:
+    path = Path(arg)
+    if (pathlike or len(os.fsencode(arg)) <= _NAME_MAX) and path.exists():
+        if not path.is_dir():
+            return path.read_text()
+        if pathlike:
+            raise UsageError(f"is a directory: {arg!r}")
+    elif pathlike:
         raise UsageError(f"no such file: {arg!r}")
     return arg
 
@@ -87,34 +93,32 @@ def _print_coloring(c: Coloring, kind: Kind):
 
 
 def cmd_verify(args) -> int:
-    from .core import check_partition, parse_coloring_with_kind
+    from .core import check_partition, iter_violations, parse_coloring_with_kind
 
     coloring, declared = parse_coloring_with_kind(_read_input(args.input))
     kind = _resolve_kind(args.kind, declared)
-    verdict = check_partition(coloring, kind, exhaustive=args.all_witnesses)
+    violations = (iter_violations(coloring, kind) if args.all_witnesses
+                  else iter(check_partition(coloring, kind).violations))
+    # Printed 256 at a time, so --all-witnesses never holds the whole list.
+    chunks = iter(lambda: list(islice(violations, 256)), [])
+    first = next(chunks, [])  # read ahead: JSON prints "ok" before the list
     if args.json:
-        doc = {
-            "kind": kind.value,
-            "r": coloring.r,
-            "n": coloring.n,
-            "ok": verdict.ok,
-            "violations": [
-                {
-                    "category": v.category.value,
-                    "triple": list(v.triple) if v.triple is not None else None,
-                    "color": v.color,
-                    "message": v.describe(),
-                }
-                for v in verdict.violations
-            ],
-        }
-        _print_json(doc)
-    elif verdict.ok:
+        import json
+
+        head = {"kind": kind.value, "r": coloring.r, "n": coloring.n, "ok": not first}
+        sys.stdout.write(json.dumps(head)[:-1] + ', "violations": [')
+        for i, chunk in enumerate(chain([first], chunks)):
+            docs = [{"category": v.category.value, "triple": v.triple and list(v.triple),
+                     "color": v.color, "message": v.describe()} for v in chunk]
+            # The items of one list, as json.dumps of the whole list joins them.
+            sys.stdout.write((", " if i else "") + json.dumps(docs)[1:-1])
+        sys.stdout.write("]}\n")
+    elif not first:
         print("ok")
     else:
-        for v in verdict.violations:
-            print(v.describe())
-    return 0 if verdict.ok else 1
+        for chunk in chain([first], chunks):
+            sys.stdout.write("".join(f"{v.describe()}\n" for v in chunk))
+    return 1 if first else 0
 
 
 # Largest r for which a command computes GS(r).  GS(12,303) has 4,300
@@ -348,11 +352,9 @@ def cmd_cnf(args) -> int:
     coloring = decode(model, args.n, args.r)
     _print_coloring(coloring, kind)
     verdict = check_partition(coloring, kind)
-    if not verdict.ok:
-        for v in verdict.violations:
-            _err(v.describe())
-        return 1
-    return 0
+    for v in verdict.violations:
+        _err(v.describe())
+    return 0 if verdict.ok else 1
 
 
 class _Parser(argparse.ArgumentParser):

@@ -16,8 +16,10 @@ with one bit mask per color class, every c that has a violating pair, and
 then walks only those c upward, pair by pair, to name the witnesses in the
 same order a scan over every c would.  A maximal partition of [1, n] so
 costs about n shifts of n-bit integers instead of n^2 / 4 pair checks.  The
-exhaustive search relies on the same fact to reject partial colorings as
-soon as a bad triple is completed.
+witnesses are one ordered stream, `iter_violations`, that a caller may stop
+reading at any point; `check_partition` is its first item or all of them.
+The exhaustive search relies on the same fact to reject partial colorings
+as soon as a bad triple is completed.
 
 Two textual formats are supported: a compact digit string with digit i
 giving the color of i (usable while r <= 9), and an explicit header form
@@ -31,6 +33,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from enum import Enum
+from itertools import islice
 
 from .values import Coloring, Kind, ParseError, Record, _join_decimal, _set
 
@@ -194,24 +197,29 @@ def to_file_form(c: Coloring, kind: Kind) -> str:
 def check_partition(c: Coloring, kind: Kind, exhaustive: bool = False) -> Verdict:
     """Verify the Gallai-Schur property of a coloring.
 
-    Out-of-range entries are reported first.  Then `_bad_sums` finds, with
-    class bit masks, every triple maximum c that has a violating pair, and
-    only those c are scanned, pair by pair with a ascending, to name the
-    witnesses.  A triple is monochromatic when all three colors agree
-    (a = b counted only under the strong kind) and rainbow when all three
-    differ.  Last, every color in [1, r] must occur.  With `exhaustive` the
-    verdict carries every witness; by default the first one found stops
-    the scan.  Either way the witnesses come out in the order of the plain
-    scan over every c; the cost is the masks' big-integer shifts (about n
-    for a maximal partition) plus O(c) for each c that fails.
+    The verdict holds the first violation of `iter_violations`, or with
+    `exhaustive` all of them, in the same order.
     """
-    violations: list[Violation] = []
+    return Verdict(tuple(islice(iter_violations(c, kind), None if exhaustive else 1)))
 
+
+def iter_violations(c: Coloring, kind: Kind):
+    """Yield every violation of the Gallai-Schur property, in scan order.
+
+    Out-of-range entries come first, ascending.  Then `_bad_sums` finds,
+    with class bit masks, every triple maximum c that has a violating pair,
+    and only those c are scanned, pair by pair with a ascending, to name
+    the witnesses.  A triple is monochromatic when all three colors agree
+    (a = b counted only under the strong kind) and rainbow when all three
+    differ.  Last come the colors in [1, r] that never occur.  The
+    witnesses come out in the order of the plain scan over every c; the
+    cost is the masks' big-integer shifts (about n for a maximal
+    partition) plus O(c) for each c that fails, and a caller that stops
+    reading stops the scan.
+    """
     if max(c.colors) > c.r:
         for bad in sorted({v for v in c.colors if v > c.r}):
-            violations.append(Violation(ViolationClass.BAD_COLOR_RANGE, color=bad))
-            if not exhaustive:
-                return Verdict(tuple(violations))
+            yield Violation(ViolationClass.BAD_COLOR_RANGE, color=bad)
 
     strong = kind is Kind.STRONG
     chi = (0,) + c.colors  # 1-indexed access
@@ -222,26 +230,14 @@ def check_partition(c: Coloring, kind: Kind, exhaustive: bool = False) -> Verdic
             ca, cb = chi[a], chi[b]
             if ca == cb:
                 if ca == cc and (strong or a != b):
-                    violations.append(
-                        Violation(ViolationClass.MONOCHROMATIC_SUM, triple=(a, b, total))
-                    )
-                    if not exhaustive:
-                        return Verdict(tuple(violations))
+                    yield Violation(ViolationClass.MONOCHROMATIC_SUM, triple=(a, b, total))
             elif ca != cc and cb != cc:
-                violations.append(
-                    Violation(ViolationClass.RAINBOW_SUM, triple=(a, b, total))
-                )
-                if not exhaustive:
-                    return Verdict(tuple(violations))
+                yield Violation(ViolationClass.RAINBOW_SUM, triple=(a, b, total))
 
     present = set(c.colors)
     for color in range(1, c.r + 1):
         if color not in present:
-            violations.append(Violation(ViolationClass.EMPTY_COLOR, color=color))
-            if not exhaustive:
-                return Verdict(tuple(violations))
-
-    return Verdict(tuple(violations))
+            yield Violation(ViolationClass.EMPTY_COLOR, color=color)
 
 
 # Prefixes [1, hi] that `_bad_sums` examines: the first is this long and

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -670,6 +671,51 @@ def test_cnf_decode_long_inline_argument(capsys):
 def test_cnf_decode_missing_file(capsys):
     assert invoke(["cnf", "decode", "missing/model.txt", "--n", "4", "--r", "2"]) == 2
     assert "no such file" in capsys.readouterr().err
+
+
+def test_verify_reads_a_fifo(tmp_path, capsys):
+    # A named pipe is no regular file, yet it holds the input.
+    fifo = tmp_path / "partition"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "w") as f:
+            f.write("1221\n")
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    assert invoke(["verify", str(fifo)]) == 0
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert capsys.readouterr() == ("ok\n", "")
+
+
+@pytest.mark.parametrize("name", ["/dev/stdin", "/dev/fd/{fd}"])
+def test_verify_reads_a_pipe_by_name(name):
+    # `gskit construct --maximal 5 | gskit verify /dev/stdin` and
+    # `gskit verify <(gskit construct --maximal 5)`.
+    cli = [sys.executable, "-m", "gskit.cli"]
+    read_end, write_end = os.pipe()
+    construct = subprocess.Popen(cli + ["construct", "--maximal", "5"], stdout=write_end)
+    os.close(write_end)
+    try:
+        verify = subprocess.run(cli + ["verify", name.format(fd=read_end)], stdin=read_end,
+                                pass_fds=(read_end,), capture_output=True, text=True,
+                                timeout=120)
+    finally:
+        os.close(read_end)
+    assert construct.wait(timeout=120) == 0
+    assert (verify.returncode, verify.stdout, verify.stderr) == (0, "ok\n", "")
+
+
+def test_a_directory_is_not_an_input(tmp_path, capsys):
+    # A path-like directory has its own error; a bare name stays inline text.
+    assert invoke(["verify", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: is a directory: {str(tmp_path)!r}\n")
+    assert invoke(["verify", "missing/partition.txt"]) == 2
+    assert capsys.readouterr() == ("", "error: no such file: 'missing/partition.txt'\n")
+    assert invoke(["verify", "."]) == 2
+    assert capsys.readouterr() == ("", "input error: invalid character '.' at position 1\n")
 
 
 def test_cnf_decode_junk(capsys, monkeypatch):

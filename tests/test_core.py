@@ -19,6 +19,7 @@ from gskit.core import (
     _bad_sums,
     check_partition,
     is_canonical,
+    iter_violations,
     parse_coloring,
     parse_coloring_with_kind,
     to_file_form,
@@ -232,8 +233,16 @@ def _colorings(draw):
 @given(case=_colorings(), kind=st.sampled_from(list(Kind)), exhaustive=st.booleans())
 def test_verifier_witnesses_match_naive_oracle(case, kind, exhaustive):
     colors, r = case
-    verdict = check_partition(Coloring(r=r, colors=colors), kind, exhaustive)
+    coloring = Coloring(r=r, colors=colors)
+    verdict = check_partition(coloring, kind, exhaustive)
     assert _entries(verdict) == naive_violations(colors, r, kind.value, exhaustive)
+    # The stream is the exhaustive list, in order; its first item is the
+    # first-witness verdict.
+    stream = list(iter_violations(coloring, kind))
+    assert [(v.category.value, v.triple, v.color) for v in stream] == naive_violations(
+        colors, r, kind.value, exhaustive=True
+    )
+    assert check_partition(coloring, kind).violations == tuple(stream[:1])
 
 
 def test_verifier_scans_only_failing_sums():
