@@ -1,0 +1,35 @@
+"""`gskit decompose`: peel a partition down to a base."""
+
+from __future__ import annotations
+
+import sys
+
+from .cli_io import read_input
+
+
+def add_arguments(parser):
+    parser.add_argument("input", help="file, '-', or inline digit string")
+    parser.add_argument("--json", action="store_true")
+
+
+def run(args) -> int:
+    from .core import canonicalize, parse_coloring_with_kind
+    from .structure import decompose_full
+
+    coloring, _ = parse_coloring_with_kind(read_input(args.input))
+    canon = canonicalize(coloring)
+    if canon != coloring:
+        print("note: input canonicalized before decomposition", file=sys.stderr)
+    dec = decompose_full(canon, canonical=True)
+    if args.json:
+        import json
+
+        doc = {
+            "base": str(dec.base),
+            "tags": [t.value for t in dec.tags],
+            "original_order": dec.original_order,
+        }
+        print(json.dumps(doc))
+    else:
+        print(f"base={dec.base} tags={','.join(t.value for t in dec.tags)}")
+    return 0

@@ -3,9 +3,10 @@
 This module imports nothing from gskit, so a layer that needs only these
 types (search, satgen, the CLI's argument parser) loads them without the
 verifier or the constructions.  It holds the criterion selector `Kind`,
-the immutable `Record` base, the `Coloring` of [1, n], the two input
-errors the CLI maps to exit codes, the catalogue of maximal partitions
-with at most three colors, and the closed-form Gallai-Schur numbers.
+the immutable `Record` base, the `Coloring` of [1, n], the three errors
+the CLI maps to exit codes, the catalogue of maximal partitions with at
+most three colors, the closed-form Gallai-Schur numbers, and the CLI's
+caps that more than one of its modules name.
 """
 
 from __future__ import annotations
@@ -82,6 +83,10 @@ class PatternError(ValueError):
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message)
         self.position = position
+
+
+class UsageError(Exception):
+    """A command-line request the CLI refuses before doing any work."""
 
 
 class Coloring(Record):
@@ -182,3 +187,19 @@ def gs_number(r: int, kind: Kind) -> GsFunctionValue:
     else:
         value = 18 * 5 ** ((r - 3) // 2)
     return GsFunctionValue(r=r, kind=kind, value=value)
+
+
+# Largest r for which a command computes GS(r).  GS(12,303) has 4,300
+# digits, the most Python converts to text by default, and GS(12,304) has
+# 4,301 for both kinds; past this the value could not be printed, and
+# computing it would take seconds at r in the millions.
+MAX_GS_R = 12_303
+
+# Most clauses cnf encode emits.  The text is streamed block by block, so
+# memory follows the largest block, not the whole output: 15 MB peak RSS at
+# --n 124 --r 6, but with few positions and many colors one block holds most
+# clauses (134 MB at --n 3 --r 126, 89 MB at --n 4 --r 100).  The cap
+# bounds the size of the output (about 40 MB near it) and the time to write
+# it.  A bigger request is refused, from the closed-form count, before any
+# clause is written.
+MAX_CNF_CLAUSES = 2_000_000

@@ -19,12 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gskit.cli import MAX_CNF_CLAUSES, MAX_CONSTRUCT_ORDER, MAX_GS_R, MAX_SEARCH_R, UsageError, main
+from gskit.cli import main
+from gskit.cli_construct import MAX_CONSTRUCT_ORDER
+from gskit.cli_search import MAX_SEARCH_R
 from gskit.construct import PatternError, five_fold, two_fold
 from gskit.core import Kind, ParseError, parse_coloring, parse_coloring_with_kind
 from gskit.pool import WorkerError
 from gskit.satgen import clause_count, encode, to_dimacs
-from gskit.values import gs_number
+from gskit.values import MAX_CNF_CLAUSES, MAX_GS_R, UsageError, gs_number
 
 
 def invoke(argv, monkeypatch=None, stdin_text=None):
@@ -165,7 +167,7 @@ def test_table_refuses_max_r_above_cap(capsys):
 
 def test_construct_refuses_huge_maximal_before_computing(capsys, monkeypatch):
     # GS(R) is never computed past the cap: 5^(R/2) at R = 10^7 takes seconds.
-    monkeypatch.setattr("gskit.cli.gs_number", None)
+    monkeypatch.setattr("gskit.cli_construct.gs_number", None)
     for r in ("12304", "100000", "10000000"):
         assert invoke(["construct", "--maximal", r, "--kind", "weak"]) == 2
         captured = capsys.readouterr()
@@ -264,7 +266,7 @@ def test_construct_refuses_orders_above_cap(capsys, monkeypatch):
     assert "--apply 5 would build order 3906249" in captured.err
     # Orders up to the cap pass, and inverse steps shrink the order the
     # check follows: B1 -> 9 -> 49 -> 9 -> 49, never 249.
-    monkeypatch.setattr("gskit.cli.MAX_CONSTRUCT_ORDER", 49)
+    monkeypatch.setattr("gskit.cli_construct.MAX_CONSTRUCT_ORDER", 49)
     chain = ["--apply", "5", "--apply", "5", "--apply", "i5", "--apply", "5"]
     assert invoke(["construct", "--base", "B1"] + chain) == 0
     assert len(capsys.readouterr().out) == 50
@@ -480,7 +482,7 @@ def test_search_has_no_split_depth_flag(capsys):
 
 def test_search_refuses_r_above_cap(capsys, monkeypatch):
     # Refused before GS(r) is computed or a forbid mask is built.
-    monkeypatch.setattr("gskit.cli.gs_number", None)
+    monkeypatch.setattr("gskit.search.gs_number", None)
     monkeypatch.setattr("gskit.search._explore", None)
     for argv in (["--max-order", "--budget", "1000"], ["--n", "100", "--json"],
                  ["--enumerate"]):
@@ -538,7 +540,7 @@ def test_cnf_encode_refuses_clause_counts_above_cap(capsys, monkeypatch):
         "error: --n 100000 --r 50 would emit 294119247500002 clauses, "
         f"above the cap of {MAX_CNF_CLAUSES}\n"
     )
-    monkeypatch.setattr("gskit.cli.MAX_CNF_CLAUSES", 19)
+    monkeypatch.setattr("gskit.cli_cnf.MAX_CNF_CLAUSES", 19)
     assert invoke(["cnf", "encode", "--n", "5", "--r", "2", "--kind", "weak"]) == 2
     assert "would emit 20 clauses, above the cap of 19" in capsys.readouterr().err
 
@@ -632,6 +634,148 @@ def test_unknown_argument_names_the_parser_it_was_given_to(capsys, monkeypatch, 
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to it
     assert invoke(argv) == 2
     assert capsys.readouterr() == ("", err)
+
+
+# The help of the root, of each sub-command and of each cnf action, at
+# COLUMNS=80.  The sub-commands' flags are added only when that sub-command
+# is parsed, so this pins their names, their order and their wrapping.
+_HELP = {
+    (): """\
+usage: gskit [-h] {verify,table,construct,decompose,search,cnf} ...
+
+Verify, construct, decompose, search, and encode sum-avoiding rainbow-free
+partitions of [1, n].
+
+positional arguments:
+  {verify,table,construct,decompose,search,cnf}
+    verify              check a partition against the constraints
+    table               print the closed-form maximal-order table
+    construct           build partitions from bases and mappings
+    decompose           peel a partition down to a base
+    search              exhaustive backtracking search
+    cnf                 DIMACS CNF encoding and model decoding (encode refused
+                        above 2000000 clauses)
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("verify",): """\
+usage: gskit verify [-h] [--kind {strong,weak}] [--all-witnesses] [--json]
+                    input
+
+positional arguments:
+  input                 file, '-', or inline digit string
+
+options:
+  -h, --help            show this help message and exit
+  --kind {strong,weak}
+  --all-witnesses       report every violation, not just the first
+  --json
+""",
+    ("table",): """\
+usage: gskit table [-h] [--kind {strong,weak}] [--max-r MAX_R] [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --kind {strong,weak}
+  --max-r MAX_R
+  --json
+""",
+    ("construct",): """\
+usage: gskit construct [-h]
+                       (--base {B1,B2,B3A,B3B,C1,C2,C3} | --maximal R | --from INPUT)
+                       [--apply {2,5,i2,i5}] [--kind {strong,weak}] [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --base {B1,B2,B3A,B3B,C1,C2,C3}
+                        catalogue base to start from
+  --maximal R           maximal partition for R colors (order at most 2000000)
+  --from INPUT          partition to start from (file, '-', or digits)
+  --apply {2,5,i2,i5}   mapping chain, applied left to right; i2/i5 invert;
+                        refused if an order would exceed 2000000
+  --kind {strong,weak}
+  --json
+""",
+    ("decompose",): """\
+usage: gskit decompose [-h] [--json] input
+
+positional arguments:
+  input       file, '-', or inline digit string
+
+options:
+  -h, --help  show this help message and exit
+  --json
+""",
+    ("search",): """\
+usage: gskit search [-h] [--kind {strong,weak}] --r R [--n N] [--max-order]
+                    [--enumerate] [--limit LIMIT] [--workers WORKERS]
+                    [--budget BUDGET] [--wall WALL] [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --kind {strong,weak}
+  --r R                 number of colors
+  --n N                 order to search
+  --max-order           prove the largest feasible order up to --limit
+  --enumerate           all canonical witnesses (at --n, or at the maximal
+                        order)
+  --limit LIMIT         order ceiling for --max-order/--enumerate, not with
+                        --n (default: GS(r) - 1 + 5; any ceiling above GS(r) -
+                        1 gives the same answer)
+  --workers WORKERS     worker processes (default: 1)
+  --budget BUDGET       node budget
+  --wall WALL           wall-clock budget, seconds
+  --json
+""",
+    ("cnf",): """\
+usage: gskit cnf [-h] [--n N] [--r R] [--kind {strong,weak}] [--symmetry]
+                 {encode,decode} ...
+
+positional arguments:
+  {encode,decode}
+    encode              write DIMACS CNF to stdout
+    decode              decode a solver model, print and verify it
+
+options:
+  -h, --help            show this help message and exit
+  --n N                 order (required)
+  --r R                 number of colors (required)
+  --kind {strong,weak}
+  --symmetry            add canonical-order symmetry-breaking clauses
+""",
+    ("cnf", "encode"): """\
+usage: gskit cnf encode [-h] [--n N] [--r R] [--kind {strong,weak}]
+                        [--symmetry]
+
+options:
+  -h, --help            show this help message and exit
+  --n N                 order (required)
+  --r R                 number of colors (required)
+  --kind {strong,weak}
+  --symmetry            add canonical-order symmetry-breaking clauses
+""",
+    ("cnf", "decode"): """\
+usage: gskit cnf decode [-h] [--n N] [--r R] [--kind {strong,weak}] [model]
+
+positional arguments:
+  model                 solver output to decode (file, '-', or inline
+                        literals)
+
+options:
+  -h, --help            show this help message and exit
+  --n N                 order (required)
+  --r R                 number of colors (required)
+  --kind {strong,weak}
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(_HELP), ids=lambda a: " ".join(a) or "root")
+def test_help_text_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help to it
+    assert invoke([*argv, "--help"]) == 0
+    assert capsys.readouterr() == (_HELP[argv], "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -807,7 +951,7 @@ def test_main_maps_each_error_to_one_line_and_a_code(
     def fail(args):
         raise error
 
-    monkeypatch.setattr("gskit.cli.cmd_table", fail)
+    monkeypatch.setattr("gskit.cli_table.run", fail)
     # A file for stdout: a broken pipe points its descriptor at devnull.
     with open(tmp_path / "out", "w") as out, contextlib.redirect_stdout(out):
         assert main(["table"]) == code
@@ -831,6 +975,13 @@ def test_console_entry_point():
     (["search", "--r", "3", "--max-order", "--streak", "3"], 2, "",
      "unrecognized arguments: --streak 3"),
     (["construct", "--maximal", "4"], 0, "1221", ""),
+    # Usage errors raised inside the command modules and the shared cli_io.
+    (["table", "--max-r", "0"], 2, "", "error: --max-r must be at least 1\n"),
+    (["construct", "--maximal", "19"], 2, "",
+     "error: --maximal 19 would build order 3906249, above the cap of 2000000\n"),
+    (["search", "--r", "0", "--n", "3"], 2, "", "error: --r must be at least 1\n"),
+    (["cnf", "encode", "--n", "4"], 2, "", "error: --n and --r are required\n"),
+    (["verify", "no/such/file"], 2, "", "error: no such file: 'no/such/file'\n"),
 ])
 def test_module_entry_matches_main(capsys, argv, code, out, err):
     # The process exit path keeps main's code, stdout and stderr byte for byte.
@@ -843,6 +994,8 @@ def test_module_entry_matches_main(capsys, argv, code, out, err):
     assert invoke(argv) == code
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, *capsys.readouterr())
     assert out in proc.stdout and err in proc.stderr
+    if err.startswith("error: "):  # a refusal is its single line
+        assert proc.stderr == err
 
 
 def test_main_never_freezes(capsys):

@@ -14,16 +14,20 @@ import pytest
 import gskit
 
 # Runs gskit's CLI in a fresh interpreter and prints the exit code and the
-# modules imported after start-up (stdout of the command is discarded).  The
-# harness prints with repr, so json counts when the command loads it.
+# modules imported after start-up (stdout of the command is discarded, and
+# argparse's exit from --help or a usage error is its code).  The harness
+# prints with repr, so json counts when the command loads it.
 _FOOTPRINT = """
 import contextlib, io, os, sys
 before = set(sys.modules)
 if {cpus}:
     os.cpu_count = lambda: {cpus}
 from gskit.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
 print(repr([code, sorted(set(sys.modules) - before)]))
 """
 
@@ -42,31 +46,45 @@ def _footprint(argv, cpus=None):
     return code, set(modules)
 
 
-# Each command with the layers it loads besides gskit.values.
+# Each command with the modules it loads besides gskit.cli and gskit.values:
+# its own command module, the shared cli_io where it reads an input or
+# prints a coloring, and the layers it runs.
 _COMMAND_LAYERS = {
-    ("verify", "1221"): {"core"},
-    ("table",): set(),
-    ("construct", "--maximal", "4"): {"construct"},
-    ("decompose", "1221"): {"core", "construct", "structure"},
-    ("construct", "--maximal", "10"): {"construct", "core"},  # printed in file form
-    ("construct", "--from", "1221", "--apply", "5"): {"construct", "core"},
-    ("search", "--r", "3", "--max-order"): {"search"},
-    ("search", "--r", "3", "--n", "9"): {"search"},
-    ("cnf", "encode", "--n", "4", "--r", "2"): {"satgen"},
-    ("cnf", "decode", "v 1 -2 -3 4 -5 6 7 -8 0", "--n", "4", "--r", "2"): {"satgen", "core"},
+    ("verify", "1221"): {"cli_verify", "cli_io", "core"},
+    ("table",): {"cli_table"},
+    ("construct", "--maximal", "4"): {"cli_construct", "cli_io", "construct"},
+    ("decompose", "1221"): {"cli_decompose", "cli_io", "core", "construct", "structure"},
+    # printed in file form
+    ("construct", "--maximal", "10"): {"cli_construct", "cli_io", "construct", "core"},
+    ("construct", "--from", "1221", "--apply", "5"):
+        {"cli_construct", "cli_io", "construct", "core"},
+    ("search", "--r", "3", "--max-order"): {"cli_search", "search"},
+    ("search", "--r", "3", "--n", "9"): {"cli_search", "search"},
+    ("cnf", "encode", "--n", "4", "--r", "2"): {"cli_cnf", "satgen"},
+    ("cnf", "decode", "v 1 -2 -3 4 -5 6 7 -8 0", "--n", "4", "--r", "2"):
+        {"cli_cnf", "cli_io", "satgen", "core"},
 }
 
 
 @pytest.mark.parametrize("argv", [list(argv) for argv in _COMMAND_LAYERS])
 def test_commands_load_only_their_layers(argv):
-    # Every command compiles gskit.values and then only the layers it runs.
+    # Every command compiles gskit.values, its own command module and then
+    # only what it uses.
     code, loaded = _footprint(argv)
     assert code == 0
     assert {m for m in loaded if m.startswith("gskit")} == {
         "gskit", "gskit.cli", "gskit.values",
-        *(f"gskit.{layer}" for layer in _COMMAND_LAYERS[tuple(argv)]),
+        *(f"gskit.{module}" for module in _COMMAND_LAYERS[tuple(argv)]),
     }
     assert not loaded & _HEAVY
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["bogus"], 2)])
+def test_root_parser_loads_no_command_module(argv, code):
+    # The root help and a choice error name the sub-commands but build none.
+    got, loaded = _footprint(argv)
+    assert got == code
+    assert {m for m in loaded if m.startswith("gskit")} == {"gskit", "gskit.cli", "gskit.values"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -158,6 +176,59 @@ def test_values_imports_no_gskit_module():
             assert node.level == 0 and not (node.module or "").startswith("gskit"), node.module
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("gskit") for a in node.names)
+
+
+def _gskit_imports(nodes) -> set[str]:
+    """The gskit modules that the import statements among `nodes` name,
+    relative ones as seen from inside the package."""
+    named = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "gskit." + base if base else "gskit"
+            if base.startswith("gskit"):
+                named |= {base, *(f"{base}.{a.name}" for a in node.names)}
+        elif isinstance(node, ast.Import):
+            named |= {a.name for a in node.names if a.name.startswith("gskit")}
+    return named
+
+
+def _module_level(tree):
+    """The statements run on import: all but the bodies of functions and classes."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_command_modules_never_import_the_entry_point():
+    # Under `python -m gskit.cli` that file runs as __main__, so importing
+    # gskit.cli from a command module would run a second copy of it.
+    package = Path(gskit.__file__).parent
+    commands = sorted(package.glob("cli_*.py"))
+    assert {p.stem for p in commands} >= {
+        "cli_io", "cli_verify", "cli_table", "cli_construct", "cli_decompose", "cli_search",
+        "cli_cnf",
+    }
+    for path in commands:
+        named = _gskit_imports(ast.walk(ast.parse(path.read_text())))
+        assert "gskit.cli" not in named, path.name
+    # The entry point imports a command module only once its command is parsed.
+    tree = ast.parse((package / "cli.py").read_text())
+    assert not {m for m in _gskit_imports(_module_level(tree)) if m.startswith("gskit.cli_")}
+
+
+def test_the_entry_point_check_sees_each_import_form():
+    forms = ["from . import cli", "from .cli import main", "import gskit.cli",
+             "from gskit import cli", "from gskit.cli import main"]
+    for form in forms:
+        assert "gskit.cli" in _gskit_imports(ast.walk(ast.parse(form))), form
+    source = "from .cli_io import read_input\ndef f():\n    from . import cli_table\n"
+    assert _gskit_imports(_module_level(ast.parse(source))) == {
+        "gskit.cli_io", "gskit.cli_io.read_input"}
 
 
 def test_exports_resolve_to_their_defining_layer():

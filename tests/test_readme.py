@@ -17,7 +17,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def _examples():
     """(argv, expected stdout) for each example that runs without a shell.
 
-    Pipes and redirects need a shell, and an argument `cli._read_input`
+    Pipes and redirects need a shell, and an argument `cli_io.read_input`
     takes for a path (one with `/` or ending in `.txt`) names a file the
     README does not create, so those lines are skipped.
     """
