@@ -18,11 +18,15 @@ in-process; `run` is the process entry point of `python -m gskit.cli`
 and the installed `gskit` script.
 
 This module holds only the entry points, the root parser and the table
-of sub-commands.  Each sub-command's flags, caps and handler are in its
-own module, `gskit.cli_<name>`, which the parser imports only when that
-sub-command is the one given, so a command compiles no other command's
-code; `gskit.cli_io` holds the input and output they share.  No command
-module imports this one: under `python -m gskit.cli` this file runs as
+of sub-commands, and imports no layer.  Each sub-command's flags, caps
+and handler are in its own module, `gskit.cli_<name>`, which the parser
+imports only when that sub-command is the one given, so a command
+compiles no other command's code.  A command module imports at its top
+the layers (core, construct, structure, search, satgen) that every
+successful run of it uses, so they load while its command is parsed;
+only what a run may skip is imported inside its `run`.  `gskit.cli_io`
+holds the input and output the commands share.  No command module
+imports this one: under `python -m gskit.cli` this file runs as
 `__main__`, and an import of `gskit.cli` would compile and run a second
 copy of it.
 """
@@ -35,12 +39,7 @@ import os
 import sys
 from importlib import import_module
 
-from .values import MAX_CNF_CLAUSES, ParseError, PatternError, UsageError
-
-# The layers (core, construct, structure, search, satgen) are imported inside
-# the command modules' `run`, so each command compiles and loads only the
-# modules it needs: `table` and the argument parser need nothing past
-# gskit.values, and `search` never loads the verifier or the constructions.
+from .values import MAX_CNF_CLAUSES, ParseError, PatternError, UsageError, WorkerError
 
 # Each sub-command with its one-line help, in the order the root help lists
 # them.  Its flags and its `run` are in the module gskit.cli_<name>.
@@ -116,14 +115,7 @@ def main(argv=None) -> int:
     except PatternError as e:
         _err(f"structure error: {e}")
         return 1
-    except (UsageError, ValueError, OSError) as e:
-        _err(f"error: {e}")
-        return 2
-    except RuntimeError as e:
-        from .pool import WorkerError
-
-        if not isinstance(e, WorkerError):
-            raise
+    except (UsageError, ValueError, OSError, WorkerError) as e:
         _err(f"error: {e}")
         return 2
 

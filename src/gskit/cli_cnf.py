@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .satgen import clause_count, decode, parse_model, write_dimacs
 from .values import MAX_CNF_CLAUSES, Kind, UsageError
 
 
@@ -33,11 +34,9 @@ def add_arguments(parser):
 def run(args) -> int:
     if args.n is None or args.r is None:
         raise UsageError("--n and --r are required")
-    from .satgen import clause_count, decode, parse_model, write_dimacs
-
     if args.n < 1 or args.r < 1:
         raise UsageError("--n and --r must be at least 1")
-    kind = Kind.from_name(args.kind)
+    kind = Kind(args.kind)
     if args.action == "encode":
         count = clause_count(args.n, args.r, kind, args.symmetry)
         if count > MAX_CNF_CLAUSES:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from .cli_io import print_coloring, read_input, resolve_kind
+from .construct import (MappingTag, _order, base_by_name, five_fold, inverse_five_fold,
+                        inverse_two_fold, maximal_partition, two_fold)
 from .values import BASE_CATALOGUE, MAX_GS_R, Kind, UsageError, gs_number
 
 # Largest order construct builds.  Every entry is held in memory and
@@ -11,13 +13,13 @@ from .values import BASE_CATALOGUE, MAX_GS_R, Kind, UsageError, gs_number
 # strong r <= 18 and weak r <= 17.
 MAX_CONSTRUCT_ORDER = 2_000_000
 
-# Each step with the `construct` function it calls, the `MappingTag` name of
-# its construction, and whether it inverts it.
+# Each step with the function it calls, the construction it maps by, and
+# whether it inverts it.
 _APPLY_STEPS = {
-    "2": ("two_fold", "TWO_FOLD", False),
-    "5": ("five_fold", "FIVE_FOLD", False),
-    "i2": ("inverse_two_fold", "TWO_FOLD", True),
-    "i5": ("inverse_five_fold", "FIVE_FOLD", True),
+    "2": (two_fold, MappingTag.TWO_FOLD, False),
+    "5": (five_fold, MappingTag.FIVE_FOLD, False),
+    "i2": (inverse_two_fold, MappingTag.TWO_FOLD, True),
+    "i5": (inverse_five_fold, MappingTag.FIVE_FOLD, True),
 }
 
 
@@ -45,10 +47,8 @@ def _check_construct_order(n: int, what: str):
 
 
 def run(args) -> int:
-    from . import construct
-
     if args.maximal is not None:
-        kind = Kind.from_name(args.kind) if args.kind else Kind.STRONG
+        kind = resolve_kind(args.kind, None)
         if args.maximal > MAX_GS_R:
             raise UsageError(
                 f"--maximal {args.maximal} would build an order of over 4300 "
@@ -56,10 +56,10 @@ def run(args) -> int:
             )
         order = gs_number(args.maximal, kind).value - 1
         _check_construct_order(order, f"--maximal {args.maximal}")
-        current = construct.maximal_partition(args.maximal, kind)
+        current = maximal_partition(args.maximal, kind)
     elif args.base is not None:
-        kind, current = construct.base_by_name(args.base)
-        if args.kind is not None and Kind.from_name(args.kind) is not kind:
+        kind, current = base_by_name(args.base)
+        if args.kind is not None and Kind(args.kind) is not kind:
             raise UsageError(
                 f"base {args.base} belongs to the {kind.value} catalogue"
             )
@@ -73,10 +73,10 @@ def run(args) -> int:
     order = current.n
     for step in steps:
         _, tag, inverse = _APPLY_STEPS[step]
-        order = construct._order(construct.MappingTag[tag], order, inverse)
+        order = _order(tag, order, inverse)
         _check_construct_order(order, f"--apply {step}")
     for step in steps:
-        current = getattr(construct, _APPLY_STEPS[step][0])(current)
+        current = _APPLY_STEPS[step][0](current)
 
     if args.json:
         import json

@@ -5,6 +5,8 @@ from __future__ import annotations
 import sys
 
 from .cli_io import read_input
+from .core import canonicalize, parse_coloring_with_kind
+from .structure import decompose_full
 
 
 def add_arguments(parser):
@@ -13,9 +15,6 @@ def add_arguments(parser):
 
 
 def run(args) -> int:
-    from .core import canonicalize, parse_coloring_with_kind
-    from .structure import decompose_full
-
     coloring, _ = parse_coloring_with_kind(read_input(args.input))
     canon = canonicalize(coloring)
     if canon != coloring:

@@ -39,7 +39,7 @@ def read_input(arg: str) -> str:
 
 def resolve_kind(flag: str | None, declared: Kind | None) -> Kind:
     if flag is not None:
-        return Kind.from_name(flag)
+        return Kind(flag)
     if declared is not None:
         return declared
     return Kind.STRONG

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import sys
 
+from .search import (STREAK, SearchConfig, SearchMode, check_parallelism, enumerate_maximal,
+                     max_order, report_json, run_search, walk_limit)
 from .values import Kind, UsageError
 
 # Most colors search takes.  The search packs r bits per position into
@@ -38,14 +40,11 @@ def add_arguments(parser):
 
 
 def run(args) -> int:
-    from .search import STREAK, SearchConfig, SearchMode, check_parallelism, enumerate_maximal
-    from .search import max_order, report_json, run_search, walk_limit
-
     if args.r < 1:
         raise UsageError("--r must be at least 1")
     if args.r > MAX_SEARCH_R:
         raise UsageError(f"--r {args.r} is above the cap of {MAX_SEARCH_R}")
-    kind = Kind.from_name(args.kind)
+    kind = Kind(args.kind)
     if args.max_order and (args.n is not None or args.enumerate):
         raise UsageError("--max-order excludes --n and --enumerate")
     if args.limit is not None and args.n is not None:
@@ -78,7 +77,9 @@ def run(args) -> int:
         else:
             state = "confirmed" if confirmed else "unconfirmed"
             print(f"m_max {m_max} {state} (streak {STREAK})")
-        return 0 if confirmed else 3
+        if not confirmed:
+            return 3
+        return 0 if m_max else 1  # 0 proves that no order up to the limit is feasible
 
     mode = SearchMode.ENUMERATE_ALL if args.enumerate else SearchMode.FIRST_WITNESS
     if args.n is None:  # --enumerate at the maximal order, in one walk

@@ -16,7 +16,7 @@ def run(args) -> int:
         raise UsageError("--max-r must be at least 1")
     if args.max_r > MAX_GS_R:
         raise UsageError(f"--max-r {args.max_r} is above the cap of {MAX_GS_R}")
-    kind = Kind.from_name(args.kind)
+    kind = Kind(args.kind)
     rows = [gs_number(r, kind) for r in range(1, args.max_r + 1)]
     if args.json:
         import json

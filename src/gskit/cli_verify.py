@@ -6,6 +6,7 @@ import sys
 from itertools import chain, islice
 
 from .cli_io import read_input, resolve_kind
+from .core import check_partition, iter_violations, parse_coloring_with_kind
 
 
 def add_arguments(parser):
@@ -17,8 +18,6 @@ def add_arguments(parser):
 
 
 def run(args) -> int:
-    from .core import check_partition, iter_violations, parse_coloring_with_kind
-
     coloring, declared = parse_coloring_with_kind(read_input(args.input))
     kind = resolve_kind(args.kind, declared)
     violations = (iter_violations(coloring, kind) if args.all_witnesses

@@ -5,7 +5,11 @@ on two or more children, so no other command pays for it.  The parent
 writes every task index to one shared pipe; each child takes indices
 from it until it is drained, then sends back one pickle of its (index,
 result) pairs on a pipe of its own and leaves with `os._exit`, so that
-no buffered output or exit handler of the parent runs twice.
+no buffered output or exit handler of the parent runs twice.  A child
+that dies without a report, or whose error cannot be sent back, is
+reported as a `WorkerError`.  That class is defined in `gskit.values`,
+beside the CLI's other errors, so the CLI maps it to exit code 2
+without importing this module.
 """
 
 from __future__ import annotations
@@ -15,15 +19,12 @@ import pickle
 import struct
 from typing import Callable
 
+from .values import WorkerError
+
 # Indices go out in writes of at most 512 bytes, POSIX's least PIPE_BUF,
 # so each write is atomic and every 4-byte read in a child gets one whole
 # index.
 _CHUNK = 128
-
-
-class WorkerError(RuntimeError):
-    """A child failed outside `fn`'s own errors: it died without a report,
-    or the exception `fn` raised could not be sent back."""
 
 
 def run_forked(fn: Callable, items: list, procs: int) -> list:

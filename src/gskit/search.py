@@ -358,13 +358,14 @@ def check_parallelism(workers: int) -> None:
 def _drive(cfg: SearchConfig, workers: int = 1) -> _Walk:
     """Walk `cfg`'s whole tree, in one piece or split as the module docstring says."""
     procs = min(workers, os.cpu_count() or 1)
-    depth = default_split_depth(cfg)
     # A forked child gets a copy of every lock, but only the calling
     # thread; with other threads running, one might hold a lock forever.
+    # The split depth is read last, only for a walk that could split.
     threading = sys.modules.get("threading")
     if (cfg.mode is SearchMode.FIRST_WITNESS or cfg.node_budget is not None
-            or cfg.wall_budget is not None or procs == 1 or depth == 0
-            or not hasattr(os, "fork") or threading and threading.active_count() > 1):
+            or cfg.wall_budget is not None or procs == 1
+            or not hasattr(os, "fork") or threading and threading.active_count() > 1
+            or (depth := default_split_depth(cfg)) == 0):
         return _explore(cfg, (), None)
     shallow = _explore(cfg, (), depth)
     tasks = [SubtreeTask(config=cfg, prefix=p) for p in shallow.frontier]
@@ -420,24 +421,24 @@ def walk_limit(kind: Kind, r: int, limit: int | None = None) -> int:
 def max_order(
     kind: Kind,
     r: int,
-    limit: int,
+    limit: int | None = None,
     node_budget: int | None = None,
     wall_budget: float | None = None,
 ) -> tuple[int, bool]:
-    """Largest feasible order up to `limit`, with a confirmation flag.
+    """Largest feasible order up to the ceiling `walk_limit(kind, r, limit)`,
+    with a confirmation flag.
 
     Every constraint on a prefix [1, m] involves only triples inside it,
     so the valid canonical prefixes of length m that use all r colors are
     exactly the r-color partitions of [1, m].  One walk of the canonical
-    tree, capped at depth `limit`, therefore answers every order at once:
+    tree, capped at that ceiling, therefore answers every order at once:
     the maximum is the deepest depth reached with all r colors in use.  It
-    is confirmed (proved) when the walk finishes, or when it reaches
-    `limit` itself.  The budgets cap the whole walk; one that fires leaves
+    is confirmed (proved) when the walk finishes, or when it reaches the
+    ceiling itself.  The budgets cap the whole walk; one that fires leaves
     the flag False and the maximum a lower bound.  Returns (0, flag) when
     no order is feasible.
     """
-    if limit < 1:
-        raise ValueError("limit must be positive")
+    limit = walk_limit(kind, r, limit)
     cfg = SearchConfig(kind, r, limit, SearchMode.FIRST_WITNESS, node_budget, wall_budget)
     walk = _drive(cfg)
     return walk.deepest, walk.exhausted or walk.deepest == limit

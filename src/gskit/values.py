@@ -3,10 +3,11 @@
 This module imports nothing from gskit, so a layer that needs only these
 types (search, satgen, the CLI's argument parser) loads them without the
 verifier or the constructions.  It holds the criterion selector `Kind`,
-the immutable `Record` base, the `Coloring` of [1, n], the three errors
-the CLI maps to exit codes, the catalogue of maximal partitions with at
-most three colors, the closed-form Gallai-Schur numbers, and the CLI's
-caps that more than one of its modules name.
+the immutable `Record` base, the `Coloring` of [1, n], the four errors
+the CLI maps to exit codes (`gskit.pool` raises `WorkerError`, and the
+CLI names it without loading the pool), the catalogue of maximal
+partitions with at most three colors, the closed-form Gallai-Schur
+numbers, and the CLI's caps that more than one of its modules name.
 """
 
 from __future__ import annotations
@@ -19,13 +20,6 @@ class Kind(Enum):
 
     STRONG = "strong"
     WEAK = "weak"
-
-    @classmethod
-    def from_name(cls, name: str) -> Kind:
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown kind {name!r}; expected 'strong' or 'weak'") from None
 
 
 _set = object.__setattr__
@@ -87,6 +81,12 @@ class PatternError(ValueError):
 
 class UsageError(Exception):
     """A command-line request the CLI refuses before doing any work."""
+
+
+class WorkerError(RuntimeError):
+    """A search worker process failed outside the searched function's own
+    errors: it died without a report, or the exception that function
+    raised could not be sent back."""
 
 
 class Coloring(Record):

@@ -24,9 +24,8 @@ from gskit.cli_construct import MAX_CONSTRUCT_ORDER
 from gskit.cli_search import MAX_SEARCH_R
 from gskit.construct import PatternError, five_fold, two_fold
 from gskit.core import Kind, ParseError, parse_coloring, parse_coloring_with_kind
-from gskit.pool import WorkerError
 from gskit.satgen import clause_count, encode, to_dimacs
-from gskit.values import MAX_CNF_CLAUSES, MAX_GS_R, UsageError, gs_number
+from gskit.values import MAX_CNF_CLAUSES, MAX_GS_R, UsageError, WorkerError, gs_number
 
 
 def invoke(argv, monkeypatch=None, stdin_text=None):
@@ -250,7 +249,7 @@ def test_construct_refuses_orders_above_cap(capsys, monkeypatch):
     assert gs_number(18, Kind.STRONG).value - 1 <= MAX_CONSTRUCT_ORDER
     assert gs_number(17, Kind.WEAK).value - 1 <= MAX_CONSTRUCT_ORDER
     # Refused from the closed form, before anything is built.
-    monkeypatch.setattr("gskit.construct.maximal_partition", None)
+    monkeypatch.setattr("gskit.cli_construct.maximal_partition", None)
     assert invoke(["construct", "--maximal", "30"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -404,6 +403,20 @@ def test_search_max_order_json(capsys):
     }
 
 
+@pytest.mark.parametrize("extra, code, out", [
+    (["--limit", "3"], 1, "m_max 0 confirmed (streak 5)\n"),
+    (["--limit", "3", "--json"], 1, '{"kind": "strong", "r": 4, "limit": 3, "streak": 5,'
+                                    ' "m_max": 0, "confirmed": true}\n'),
+    (["--budget", "2"], 3, "m_max 0 unconfirmed (streak 5)\n"),
+])
+def test_search_max_order_without_a_feasible_order(capsys, extra, code, out):
+    # No 4-color partition of [1, 3] exists: a proved m_max of 0 is a
+    # definite negative and exits 1, as --enumerate does.  A budget that
+    # stops the walk first leaves it unconfirmed, and exits 3.
+    assert invoke(["search", "--r", "4", "--max-order", *extra]) == code
+    assert capsys.readouterr() == (out, "")
+
+
 def test_search_enumerate(capsys):
     assert invoke(["search", "--kind", "strong", "--r", "3", "--enumerate"]) == 0
     assert capsys.readouterr().out == "121313121\n122131221\n"
@@ -532,7 +545,7 @@ def test_cnf_encode_refuses_clause_counts_above_cap(capsys, monkeypatch):
     # The bench instance fits under the cap.
     assert clause_count(124, 6, Kind.STRONG, symmetry=True) == 479_510 <= MAX_CNF_CLAUSES
     # Refused from the closed form, before any clause is built.
-    monkeypatch.setattr("gskit.satgen.write_dimacs", None)
+    monkeypatch.setattr("gskit.cli_cnf.write_dimacs", None)
     assert invoke(["cnf", "encode", "--n", "100000", "--r", "50", "--symmetry"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -956,6 +969,37 @@ def test_main_maps_each_error_to_one_line_and_a_code(
     with open(tmp_path / "out", "w") as out, contextlib.redirect_stdout(out):
         assert main(["table"]) == code
     assert capsys.readouterr() == ("", err)
+
+
+def test_main_lets_other_runtime_errors_propagate(monkeypatch):
+    # Of the RuntimeErrors, only a failed search worker is mapped to a
+    # code; any other is a fault of the program and keeps its traceback.
+    def fail(args):
+        raise RuntimeError("not a worker failure")
+
+    monkeypatch.setattr("gskit.cli_table.run", fail)
+    with pytest.raises(RuntimeError, match="^not a worker failure$"):
+        main(["table"])
+
+
+@pytest.mark.parametrize("value", ["medium", "STRONG"])
+@pytest.mark.parametrize("command, rest", [
+    (["verify"], ["1221"]),
+    (["table"], []),
+    (["construct"], ["--base", "B1"]),
+    (["search"], ["--r", "2", "--n", "4"]),
+    (["cnf"], ["--n", "4", "--r", "2", "encode"]),
+    (["cnf", "encode"], ["--n", "4", "--r", "2"]),
+    (["cnf", "decode"], ["--n", "4", "--r", "2", "v 1 -2 -3 4 -5 6 7 -8 0"]),
+])
+def test_every_kind_flag_refuses_other_names(capsys, command, rest, value):
+    # argparse's choices are the only check of a --kind: the commands
+    # convert it with Kind(...), which takes the exact lower-case names.
+    assert invoke([*command, "--kind", value, *rest]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"\ngskit {' '.join(command)}: error: argument --kind: invalid choice: "
+                        f"{value!r} (choose from 'strong', 'weak')\n")
 
 
 def test_console_entry_point():

@@ -28,13 +28,6 @@ from gskit.core import (
 from oracle import naive_ok, naive_pairs_at, naive_violations
 
 
-def test_kind_from_name():
-    assert Kind.from_name("strong") is Kind.STRONG
-    assert Kind.from_name("weak") is Kind.WEAK
-    with pytest.raises(ValueError):
-        Kind.from_name("medium")
-
-
 def test_parse_compact_roundtrip():
     c = parse_coloring("1221")
     assert (c.n, c.r) == (4, 2)

@@ -92,6 +92,28 @@ def test_max_order_examples():
     assert max_order(Kind.WEAK, 1, 10) == (2, True)
 
 
+def test_max_order_ceiling_is_walk_limit():
+    # Without a limit the walk runs to the default ceiling; a limit below 1
+    # is refused by walk_limit, the one place that states the rule.
+    assert max_order(Kind.STRONG, 3) == max_order(Kind.STRONG, 3, walk_limit(Kind.STRONG, 3))
+    assert max_order(Kind.WEAK, 3) == (17, True)
+    for limit in (0, -3):
+        with pytest.raises(ValueError, match="^limit must be positive$"):
+            max_order(Kind.STRONG, 1, limit)
+
+
+def test_walks_that_cannot_split_never_read_the_split_depth(monkeypatch):
+    def refuse(cfg):
+        raise AssertionError("split depth read for a walk that never splits")
+
+    monkeypatch.setattr("gskit.search.default_split_depth", refuse)
+    assert max_order(Kind.STRONG, 3) == (9, True)
+    assert run_search(_cfg(Kind.STRONG, 3, 9), workers=2).witnesses
+    for budget in ({}, {"node_budget": 10**6}):
+        cfg = SearchConfig(Kind.WEAK, 3, 17, SearchMode.ENUMERATE_ALL, **budget)
+        assert len(run_search(cfg, workers=1 if not budget else 2).witnesses) == 1
+
+
 def test_max_order_respects_limit():
     # A walk that reaches the limit itself has proved the maximum there.
     m, confirmed = max_order(Kind.STRONG, 2, 4)

@@ -168,6 +168,21 @@ def test_worker_failures_surface_after_cleanup(monkeypatch, forks, walk_task, er
     assert _open_fds() == fds
 
 
+def test_worker_error_has_one_class_that_pickles():
+    # Defined beside the CLI's other errors and re-exported by the pool; a
+    # child sends it to the parent by pickle, which finds it by its path.
+    import pickle
+
+    import gskit.pool
+    import gskit.values
+
+    assert gskit.pool.WorkerError is gskit.values.WorkerError
+    error = gskit.values.WorkerError("search worker 7 exited with status 9 and no report")
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is gskit.values.WorkerError
+    assert copy.args == error.args
+
+
 @pytest.mark.parametrize("cfg", [
     SearchConfig(kind=Kind.STRONG, r=3, n=9, mode=SearchMode.ENUMERATE_ALL),
     # Past the maximal order: the walk keeps the paths of its deepest order,
