@@ -32,7 +32,7 @@ def add_arguments(parser):
                              "--n (default: GS(r) - 1 + 5; any ceiling above "
                              "GS(r) - 1 gives the same answer)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes (default: 1)")
+                        help="worker processes for --enumerate (default: 1)")
     parser.add_argument("--budget", type=int, default=None, help="node budget")
     parser.add_argument("--wall", type=float, default=None,
                         help="wall-clock budget, seconds")
@@ -96,8 +96,10 @@ def run(args) -> int:
     if args.json:
         print(report_json(SearchConfig(kind, args.r, n, mode), report))
     else:
+        from .cli_io import print_coloring
+
         for w in report.witnesses:
-            print(str(w))
+            print_coloring(w, kind)
         if not report.witnesses:
             print("infeasible" if report.exhausted else "inconclusive (budget exhausted)")
     # An unconfirmed m_max comes from a walk cut short, so it ends here too.

@@ -17,7 +17,7 @@ then walks only those c upward, pair by pair, to name the witnesses in the
 same order a scan over every c would.  A maximal partition of [1, n] so
 costs about n shifts of n-bit integers instead of n^2 / 4 pair checks.  The
 witnesses are one ordered stream, `iter_violations`, that a caller may stop
-reading at any point; `check_partition` is its first item or all of them.
+reading at any point; `check_partition` is its first item.
 The exhaustive search relies on the same fact to reject partial colorings
 as soon as a bad triple is completed.
 
@@ -194,13 +194,10 @@ def to_file_form(c: Coloring, kind: Kind) -> str:
     )
 
 
-def check_partition(c: Coloring, kind: Kind, exhaustive: bool = False) -> Verdict:
-    """Verify the Gallai-Schur property of a coloring.
-
-    The verdict holds the first violation of `iter_violations`, or with
-    `exhaustive` all of them, in the same order.
-    """
-    return Verdict(tuple(islice(iter_violations(c, kind), None if exhaustive else 1)))
+def check_partition(c: Coloring, kind: Kind) -> Verdict:
+    """Verify a coloring: the verdict holds the first violation, if any,
+    of `iter_violations`, which yields them all in order."""
+    return Verdict(tuple(islice(iter_violations(c, kind), 1)))
 
 
 def iter_violations(c: Coloring, kind: Kind):

@@ -160,11 +160,10 @@ BASE_CATALOGUE: dict[str, tuple[Kind, str]] = {
 class GsFunctionValue(Record):
     """The Gallai-Schur number GS(r) or WGS(r); one above the maximal order."""
 
-    __slots__ = ("r", "kind", "value")
+    __slots__ = ("r", "value")
 
-    def __init__(self, r: int, kind: Kind, value: int):
+    def __init__(self, r: int, value: int):
         _set(self, "r", r)
-        _set(self, "kind", kind)
         _set(self, "value", value)
 
 
@@ -186,7 +185,7 @@ def gs_number(r: int, kind: Kind) -> GsFunctionValue:
         value = 9 * 5 ** ((r - 2) // 2)
     else:
         value = 18 * 5 ** ((r - 3) // 2)
-    return GsFunctionValue(r=r, kind=kind, value=value)
+    return GsFunctionValue(r=r, value=value)
 
 
 # Largest r for which a command computes GS(r).  GS(12,303) has 4,300

@@ -22,9 +22,10 @@ from hypothesis import strategies as st
 from gskit.cli import main
 from gskit.cli_construct import MAX_CONSTRUCT_ORDER
 from gskit.cli_search import MAX_SEARCH_R
-from gskit.construct import PatternError, five_fold, two_fold
+from gskit.construct import PatternError, five_fold, maximal_partition, two_fold
 from gskit.core import Kind, ParseError, parse_coloring, parse_coloring_with_kind
 from gskit.satgen import clause_count, encode, to_dimacs
+from gskit.search import SearchConfig, run_search
 from gskit.values import MAX_CNF_CLAUSES, MAX_GS_R, UsageError, WorkerError, gs_number
 
 
@@ -448,6 +449,33 @@ def test_search_json_report(capsys):
     )
 
 
+@pytest.mark.parametrize("kind", ["strong", "weak"])
+def test_search_prints_witnesses_above_nine_colors_in_file_form(capsys, monkeypatch, kind):
+    # No digit string holds a 10-color witness: search prints the file form,
+    # with its own kind in the header, which verify and decompose read back.
+    assert invoke(["search", "--kind", kind, "--r", "10", "--n", "600"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"gspartition v1 kind={kind} r=10 n=600\n")
+    coloring, declared = parse_coloring_with_kind(out)
+    assert declared is Kind(kind) and (coloring.r, coloring.n) == (10, 600)
+    assert invoke(["verify", "-"], monkeypatch, out) == 0
+    assert capsys.readouterr() == ("ok\n", "")
+    assert invoke(["decompose", "-"], monkeypatch, out) == 0
+    assert capsys.readouterr().out.startswith("base=")
+
+
+def test_json_colorings_above_nine_colors_are_space_separated(capsys):
+    # The JSON string of a coloring with an entry above 9 is its entries
+    # joined by single spaces, the file form's second line.
+    assert invoke(["construct", "--maximal", "10", "--json"]) == 0
+    text = json.loads(capsys.readouterr().out)["coloring"]
+    assert tuple(map(int, text.split(" "))) == maximal_partition(10, Kind.STRONG).colors
+    assert invoke(["search", "--r", "10", "--n", "600", "--json"]) == 0
+    (text,) = json.loads(capsys.readouterr().out)["witnesses"]
+    (witness,) = run_search(SearchConfig(Kind.STRONG, 10, 600)).witnesses
+    assert tuple(map(int, text.split(" "))) == witness.colors
+
+
 def test_search_budget_inconclusive(capsys):
     assert invoke(["search", "--r", "3", "--n", "9", "--budget", "4"]) == 3
     assert capsys.readouterr().out == "inconclusive (budget exhausted)\n"
@@ -736,7 +764,7 @@ options:
   --limit LIMIT         order ceiling for --max-order/--enumerate, not with
                         --n (default: GS(r) - 1 + 5; any ceiling above GS(r) -
                         1 gives the same answer)
-  --workers WORKERS     worker processes (default: 1)
+  --workers WORKERS     worker processes for --enumerate (default: 1)
   --budget BUDGET       node budget
   --wall WALL           wall-clock budget, seconds
   --json

@@ -160,7 +160,7 @@ def test_gs_number_closed_forms():
         225,
     ]
     v = gs_number(3, Kind.WEAK)
-    assert (v.r, v.kind, v.value) == (3, Kind.WEAK, 18)
+    assert (v.r, v.value) == (3, 18)
     with pytest.raises(ValueError):
         gs_number(0, Kind.STRONG)
 
@@ -177,6 +177,12 @@ def test_maximal_partition_orders():
             assert c.r == r
             assert c.n == gs_number(r, kind).value - 1
             assert is_canonical(c)
+
+
+def test_maximal_partition_refuses_zero_colors():
+    for kind in (Kind.STRONG, Kind.WEAK):
+        with pytest.raises(ValueError, match="^color count must be positive, got 0$"):
+            maximal_partition(0, kind)
 
 
 def test_maximal_partition_verifies():

@@ -83,7 +83,7 @@ def test_file_form_refuses_declared_r_above_n():
     )
     assert exc.value.position == 1
     c = parse_coloring("gspartition v1 kind=strong r=4 n=4\n1 2 2 1\n")
-    assert [v.color for v in check_partition(c, Kind.STRONG, exhaustive=True).violations] == [3, 4]
+    assert [v.color for v in iter_violations(c, Kind.STRONG)] == [3, 4]
 
 
 def test_coloring_validation():
@@ -131,8 +131,7 @@ def test_verifier_bad_color_range_reported_first():
 
 def test_verifier_exhaustive_collects_everything():
     c = parse_coloring("111")
-    verdict = check_partition(c, Kind.STRONG, exhaustive=True)
-    triples = [v.triple for v in verdict.violations]
+    triples = [v.triple for v in iter_violations(c, Kind.STRONG)]
     assert triples == [(1, 1, 2), (1, 2, 3)]
     short = check_partition(c, Kind.STRONG)
     assert len(short.violations) == 1
@@ -223,12 +222,12 @@ def _colorings(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_colorings(), kind=st.sampled_from(list(Kind)), exhaustive=st.booleans())
-def test_verifier_witnesses_match_naive_oracle(case, kind, exhaustive):
+@given(case=_colorings(), kind=st.sampled_from(list(Kind)))
+def test_verifier_witnesses_match_naive_oracle(case, kind):
     colors, r = case
     coloring = Coloring(r=r, colors=colors)
-    verdict = check_partition(coloring, kind, exhaustive)
-    assert _entries(verdict) == naive_violations(colors, r, kind.value, exhaustive)
+    verdict = check_partition(coloring, kind)
+    assert _entries(verdict) == naive_violations(colors, r, kind.value, exhaustive=False)
     # The stream is the exhaustive list, in order; its first item is the
     # first-witness verdict.
     stream = list(iter_violations(coloring, kind))

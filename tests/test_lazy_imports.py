@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -59,7 +60,7 @@ _COMMAND_LAYERS = {
     ("construct", "--from", "1221", "--apply", "5"):
         {"cli_construct", "cli_io", "construct", "core"},
     ("search", "--r", "3", "--max-order"): {"cli_search", "search"},
-    ("search", "--r", "3", "--n", "9"): {"cli_search", "search"},
+    ("search", "--r", "3", "--n", "9"): {"cli_search", "cli_io", "search"},
     ("cnf", "encode", "--n", "4", "--r", "2"): {"cli_cnf", "satgen"},
     ("cnf", "decode", "v 1 -2 -3 4 -5 6 7 -8 0", "--n", "4", "--r", "2"):
         {"cli_cnf", "cli_io", "satgen", "core"},
@@ -243,6 +244,14 @@ def test_exports_resolve_to_their_defining_layer():
 
 _ROOT = Path(__file__).resolve().parents[1]
 
+# The callers a public name or option needs: the library, the bench
+# harness and the acceptance criteria.
+_CALLER_SOURCES = [
+    *(p for p in (_ROOT / "src" / "gskit").glob("*.py") if p.name != "__init__.py"),
+    *(_ROOT / "bench").glob("*.py"),
+    _ROOT / "tests" / "test_acceptance.py",
+]
+
 
 def _names_used(source: str) -> set[str]:
     """Every name or attribute `source` reads, except those read inside the
@@ -266,15 +275,67 @@ def _names_used(source: str) -> set[str]:
 def test_every_export_has_a_caller():
     # A public name stays only while the library, the bench harness or the
     # acceptance criteria use it.
-    sources = [p for p in (_ROOT / "src" / "gskit").glob("*.py") if p.name != "__init__.py"]
-    sources += [*(_ROOT / "bench").glob("*.py"), _ROOT / "tests" / "test_acceptance.py"]
-    used = set().union(*(_names_used(p.read_text()) for p in sources))
+    used = set().union(*(_names_used(p.read_text()) for p in _CALLER_SOURCES))
     assert sorted(set(gskit.__all__) - used) == []
 
 
 def test_the_caller_check_skips_a_name_used_only_in_its_own_definition():
     source = "def f():\n    return f\n\nclass C:\n    g = C\n\nh = f\n"
     assert _names_used(source) == {"f"}
+
+
+def _options_passed(source: str) -> set[tuple[str, str | int]]:
+    """(callee, keyword) and (callee, position) for every argument a call
+    in `source` passes; the callee is the last name of `f(...)` or
+    `m.f(...)`, and `*args` or `**kwargs` passes every position or keyword."""
+    passed = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            callee = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for i, arg in enumerate(node.args):
+                passed.add((callee, "*" if isinstance(arg, ast.Starred) else i))
+            passed |= {(callee, kw.arg or "**") for kw in node.keywords}
+    return passed
+
+
+def _unpassed_options(signatures, passed) -> list[str]:
+    """`name(param)` for every parameter with a default, in the
+    `(name, inspect.Signature)` pairs, that no entry of `passed` covers."""
+    missing = []
+    for name, sig in signatures:
+        for i, p in enumerate(sig.parameters.values()):
+            by_position = p.kind is not p.KEYWORD_ONLY and passed & {(name, i), (name, "*")}
+            by_keyword = p.kind is not p.POSITIONAL_ONLY and passed & {(name, p.name), (name, "**")}
+            if p.default is not p.empty and not (by_position or by_keyword):
+                missing.append(f"{name}({p.name})")
+    return missing
+
+
+def test_every_option_has_a_caller():
+    # An optional parameter of a public function, or of a public record's
+    # constructor, stays only while a caller of the library passes it.
+    public = [(name, getattr(gskit, name)) for name in gskit.__all__]
+    signatures = [(name, inspect.signature(obj)) for name, obj in public
+                  if inspect.isfunction(obj)
+                  or (inspect.isclass(obj) and issubclass(obj, gskit.values.Record))]
+    passed = set().union(*(_options_passed(p.read_text()) for p in _CALLER_SOURCES))
+    assert _unpassed_options(signatures, passed) == []
+
+
+def test_the_option_check_sees_each_way_of_passing():
+    def f(a, b=1, *, c=2):
+        pass
+
+    def g(a, b=1, /, c=2):
+        pass
+
+    signatures = [("f", inspect.signature(f)), ("g", inspect.signature(g))]
+    source = "f(0)\nm.f(0, c=3)\ng(0, b=1, c=2)\nf(b=4)\n"
+    assert _unpassed_options(signatures, _options_passed(source)) == ["g(b)"]
+    assert _unpassed_options(signatures, _options_passed("f(0, *x)\ng(*x)\n")) == ["f(c)"]
+    assert _unpassed_options(signatures, _options_passed("f(c=0)\ng(0, 1, 2)\nf(**kw)\n")) == []
+    assert _unpassed_options(signatures, _options_passed("h(0, 1, c=2)\n")) == [
+        "f(b)", "f(c)", "g(b)", "g(c)"]
 
 
 def test_star_import_and_dir_cover_all():

@@ -30,8 +30,7 @@ _RECORDS = [
     (Verdict(violations=(_V,)),
      "Verdict(violations=(Violation(category=<ViolationClass.RAINBOW_SUM: "
      "'RainbowSum'>, triple=(1, 2, 3), color=None),))"),
-    (GsFunctionValue(r=2, kind=Kind.STRONG, value=5),
-     "GsFunctionValue(r=2, kind=<Kind.STRONG: 'strong'>, value=5)"),
+    (GsFunctionValue(r=2, value=5), "GsFunctionValue(r=2, value=5)"),
     (Decomposition(base=Coloring(r=1, colors=(1,)), tags=(MappingTag.FIVE_FOLD,)),
      "Decomposition(base=Coloring(r=1, colors=(1,)), "
      "tags=(<MappingTag.FIVE_FOLD: 'FiveFold'>,))"),

@@ -43,6 +43,19 @@ def test_document_invariants_enforced():
         CnfDocument(n=2, r=2, kind=Kind.STRONG, symmetry=False, clauses=[[5]])
 
 
+@pytest.mark.parametrize("n, r", [(0, 3), (3, 0)])
+def test_encode_refuses_an_empty_order_or_palette(n, r):
+    with pytest.raises(ValueError, match="^n and r must be positive$"):
+        encode(n, r, Kind.STRONG)
+
+
+def test_satisfies_refuses_a_coloring_of_another_shape():
+    doc = encode(4, 2, Kind.STRONG)
+    for other in (Coloring(r=2, colors=(1, 2, 2)), Coloring(r=3, colors=(1, 2, 2, 1))):
+        with pytest.raises(ValueError, match="^coloring shape does not match the document$"):
+            satisfies(doc, other)
+
+
 def test_decode_examples():
     c = decode([1, -2, -3, 4, -5, 6, 7, -8], 4, 2)
     assert str(c) == "1221"

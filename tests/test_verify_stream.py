@@ -12,11 +12,12 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import islice
 
 import pytest
 
 from gskit.cli import main
-from gskit.core import Kind, check_partition, parse_coloring_with_kind
+from gskit.core import Kind, Verdict, iter_violations, parse_coloring_with_kind
 
 
 def _random_two_coloring(n: int) -> str:
@@ -28,7 +29,7 @@ def _materialised(text: str, kind: Kind | None, all_witnesses: bool, as_json: bo
     """Exit code and stdout of `verify`, built from the whole verdict."""
     coloring, declared = parse_coloring_with_kind(text)
     kind = kind or declared or Kind.STRONG
-    verdict = check_partition(coloring, kind, exhaustive=all_witnesses)
+    verdict = Verdict(tuple(islice(iter_violations(coloring, kind), None if all_witnesses else 1)))
     if as_json:
         doc = {
             "kind": kind.value,
