@@ -24,10 +24,9 @@ _EXPORTS = {
     name: layer
     for layer, names in (
         ("values", """BASE_CATALOGUE Coloring GsFunctionValue Kind ParseError
-            PatternError gs_number"""),
+            PatternError gs_number to_file_form"""),
         ("core", """Verdict Violation ViolationClass canonicalize check_partition
-            is_canonical iter_violations parse_coloring parse_coloring_with_kind
-            to_file_form"""),
+            is_canonical iter_violations parse_coloring parse_coloring_with_kind"""),
         ("construct", """MappingTag apply_mappings base_by_name five_fold
             inverse_five_fold inverse_two_fold maximal_partition two_fold"""),
         ("structure", "Decomposition StructureClass classify decompose_full peel"),

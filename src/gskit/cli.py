@@ -34,7 +34,7 @@ copy of it.
 from __future__ import annotations
 
 import argparse
-import gc
+import atexit
 import os
 import sys
 from importlib import import_module
@@ -56,6 +56,15 @@ _COMMANDS = {
 
 def _err(message: str):
     print(message, file=sys.stderr)
+
+
+def _drop_stdout():
+    """The reader closed stdout (`gskit ... | head`): stop quietly.  Point
+    stdout at devnull so a later flush of what is still buffered does not
+    raise again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,12 +111,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # The reader closed stdout (`gskit ... | head`): stop quietly.  Point
-        # stdout at devnull so the interpreter's exit flush of what is still
-        # buffered does not raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _drop_stdout()
         return 0
     except ParseError as e:
         _err(f"input error: {e}")
@@ -124,21 +128,29 @@ def run():
     """Run one command as its own process and exit with its code.
 
     Both entry points come here: `python -m gskit.cli` and the installed
-    `gskit` script.  Once `main` has returned, no object the process holds
-    is needed again, yet the interpreter's shutdown collections would
-    traverse and free every module, function and class still alive.
-    `gc.freeze()` moves them all to the permanent generation, which those
-    collections skip, and the OS takes the memory back at exit.  Every
-    other shutdown step still runs: atexit handlers, the flush of stdout and
-    stderr (the broken-pipe path in `main` relies on it) and the clearing of
-    module dicts.  `os._exit` would save the same time but skip those steps.
-    The freeze is here, never in `main`, because the tests and the bench
-    call `main` in-process many times, and a freeze there would make
-    everything their process holds permanent.
+    `gskit` script.  Once `main` has returned (or argparse has raised
+    `SystemExit` for `--help` or a usage error, always with an int code),
+    the process ends in the order of the interpreter's own shutdown: the
+    atexit handlers, then a flush of stdout and stderr, then the exit with
+    the code.  It skips only the teardown after those steps, in which
+    CPython would clear every module and free every object still alive,
+    which nothing gskit prints depends on.  A flush that meets a closed
+    stdout stops quietly, as in `main`, and keeps `main`'s code.  An
+    exception that `main` does not map to a code still leaves through the
+    interpreter, with its traceback.  The exit is here, never in `main`,
+    because the tests and the bench call `main` in-process many times.
     """
-    code = main()
-    gc.freeze()
-    sys.exit(code)
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

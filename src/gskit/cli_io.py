@@ -11,7 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from .values import Coloring, Kind, UsageError
+from .values import Coloring, Kind, UsageError, to_file_form
 
 _NAME_MAX = 255
 
@@ -50,6 +50,4 @@ def print_coloring(c: Coloring, kind: Kind):
     if c.r <= 9 and max(c.colors) <= 9:
         print(c.compact())
     else:
-        from .core import to_file_form
-
         sys.stdout.write(to_file_form(c, kind))

@@ -1,4 +1,4 @@
-"""The Gallai-Schur verifier, the partition text forms and relabeling.
+"""The Gallai-Schur verifier, the partition text parsers and relabeling.
 
 A coloring (`values.Coloring`) assigns one of r colors to every integer
 in [1, n].  It is a strong Gallai-Schur partition when no triple
@@ -23,9 +23,11 @@ as soon as a bad triple is completed.
 
 Two textual formats are supported: a compact digit string with digit i
 giving the color of i (usable while r <= 9), and an explicit header form
-for arbitrary color counts.  See `parse_coloring`.  The coloring type
-and the other shared values live in `gskit.values`, so the layers that
-never verify or parse (search, satgen) do not load this module.
+for arbitrary color counts.  See `parse_coloring`.  The coloring type,
+its two writers (`Coloring.compact` and `to_file_form`) and the other
+shared values live in `gskit.values`, so the layers and commands that
+never verify or parse (search, satgen, printing a constructed coloring)
+do not load this module.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from bisect import bisect_right
 from enum import Enum
 from itertools import islice
 
-from .values import Coloring, Kind, ParseError, Record, _join_decimal, _set
+from .values import Coloring, Kind, ParseError, Record, _set
 
 
 class ViolationClass(Enum):
@@ -183,15 +185,6 @@ def _positive_decimals(tokens, errors: dict[str, str]) -> tuple[int, ...]:
         tok = tokens[pos - 1]
         raise ParseError(errors[bad[tok]].format(pos=pos, tok=tok), position=pos)
     return tuple(map(values.__getitem__, tokens))
-
-
-def to_file_form(c: Coloring, kind: Kind) -> str:
-    """Bit-exact explicit file form (header, entries, trailing newline)."""
-    return (
-        f"gspartition v1 kind={kind.value} r={c.r} n={c.n}\n"
-        + _join_decimal(c.colors, " ")
-        + "\n"
-    )
 
 
 def check_partition(c: Coloring, kind: Kind) -> Verdict:

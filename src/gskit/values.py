@@ -3,9 +3,10 @@
 This module imports nothing from gskit, so a layer that needs only these
 types (search, satgen, the CLI's argument parser) loads them without the
 verifier or the constructions.  It holds the criterion selector `Kind`,
-the immutable `Record` base, the `Coloring` of [1, n], the four errors
-the CLI maps to exit codes (`gskit.pool` raises `WorkerError`, and the
-CLI names it without loading the pool), the catalogue of maximal
+the immutable `Record` base, the `Coloring` of [1, n] and the writers of
+its two text forms (`gskit.core` has their parsers), the four errors the
+CLI maps to exit codes (`gskit.pool` raises `WorkerError`, and the CLI
+names it without loading the pool), the catalogue of maximal
 partitions with at most three colors, the closed-form Gallai-Schur
 numbers, and the CLI's caps that more than one of its modules name.
 """
@@ -141,6 +142,15 @@ def _join_decimal(colors, sep: str) -> str:
     """Colors as decimal text joined by `sep`, formatting each distinct one once."""
     text = {v: str(v) for v in set(colors)}
     return sep.join(map(text.__getitem__, colors))
+
+
+def to_file_form(c: Coloring, kind: Kind) -> str:
+    """Bit-exact explicit file form (header, entries, trailing newline)."""
+    return (
+        f"gspartition v1 kind={kind.value} r={c.r} n={c.n}\n"
+        + _join_decimal(c.colors, " ")
+        + "\n"
+    )
 
 
 # Maximal partitions with r <= 3 colors, keyed by catalogue name.  B3A is

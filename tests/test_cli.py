@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ast
 import contextlib
-import gc
 import hashlib
 import io
 import json
@@ -1070,27 +1069,85 @@ def test_module_entry_matches_main(capsys, argv, code, out, err):
         assert proc.stderr == err
 
 
-def test_main_never_freezes(capsys):
-    # Tests and the bench call main in-process; only run() freezes the heap.
-    before = gc.get_freeze_count()
-    assert invoke(["search", "--r", "3", "--max-order"]) == 0
-    assert invoke(["verify", "123"]) == 1
-    assert gc.get_freeze_count() == before
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "1221"], 0),
+    (["verify", "123"], 1),
+    (["verify", "1x1"], 2),
+    (["search", "--r", "6", "--max-order", "--budget", "10"], 3),
+])
+def test_main_never_exits(capsys, monkeypatch, argv, code):
+    # Tests and the bench call main in-process; only run() ends the process.
+    def refuse(status):
+        raise AssertionError(f"os._exit({status}) called")
+
+    monkeypatch.setattr(os, "_exit", refuse)
+    assert main(argv) == code
 
 
-def test_module_entry_freezes_after_main():
-    # An atexit hook runs after run() has frozen the heap, and its output is
-    # still flushed at exit.
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "1221"], 0),
+    (["verify", "123"], 1),
+    (["search", "--r", "6", "--max-order", "--budget", "10"], 3),
+])
+def test_module_entry_runs_atexit_hooks_after_the_output(capsys, argv, code):
+    # run() still calls the atexit handlers and flushes what they print,
+    # after the command's own output.
     script = (
-        "import atexit, gc, runpy, sys\n"
-        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
-        "sys.argv = ['gskit', 'verify', '1221']\n"
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'atexit hook')\n"
+        f"sys.argv = ['gskit', *{argv!r}]\n"
         "runpy.run_module('gskit.cli', run_name='__main__')\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\nTrue\n", "")
+    assert invoke(argv) == code
+    out, err = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out + "atexit hook\n", err)
+
+
+def test_module_entry_exit_flush_meets_a_closed_stdout_quietly():
+    # What is still buffered when run() flushes (here, an atexit hook's
+    # line) goes to a reader that has gone away: the exit adds nothing to
+    # stderr, as a broken pipe inside main does, and keeps main's code.
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'atexit hook')\n"
+        "sys.argv = ['gskit', 'verify', '1x1']\n"
+        "runpy.run_module('gskit.cli', run_name='__main__')\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", script], stdout=write_end, stderr=subprocess.PIPE,
+            text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (
+        2, "input error: invalid character 'x' at position 2\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv, digest, size", [
+    (["construct", "--maximal", "14"],
+     "e166f8f9b4d39dca46a99b9a69e5744d8babc6cbb064ffe9797708f31e19ea86", 156362),
+    (["cnf", "encode", "--n", "124", "--r", "6", "--symmetry"],
+     "b06ad7e2572a048391cb8bd92b895b304014659edfe24bca7adb0d6122b6ab5b", 8011396),
+])
+def test_module_entry_writes_every_byte(argv, digest, size, unbuffered):
+    # The exit flushes stdout before it leaves, so a large output arrives
+    # whole whether or not stdout is buffered.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gskit.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (len(proc.stdout), hashlib.sha256(proc.stdout).hexdigest()) == (size, digest)
 
 
 def test_script_entry_point_is_the_exit_function():

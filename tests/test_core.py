@@ -22,8 +22,8 @@ from gskit.core import (
     iter_violations,
     parse_coloring,
     parse_coloring_with_kind,
-    to_file_form,
 )
+from gskit.values import to_file_form
 
 from oracle import naive_ok, naive_pairs_at, naive_violations
 

@@ -30,8 +30,8 @@ from gskit.core import (
     is_canonical,
     parse_coloring,
     parse_coloring_with_kind,
-    to_file_form,
 )
+from gskit.values import to_file_form
 
 from oracle import (
     is_canonical_tuple,

@@ -55,12 +55,13 @@ _COMMAND_LAYERS = {
     ("table",): {"cli_table"},
     ("construct", "--maximal", "4"): {"cli_construct", "cli_io", "construct"},
     ("decompose", "1221"): {"cli_decompose", "cli_io", "core", "construct", "structure"},
-    # printed in file form
-    ("construct", "--maximal", "10"): {"cli_construct", "cli_io", "construct", "core"},
+    # printed in file form, which gskit.values writes
+    ("construct", "--maximal", "10"): {"cli_construct", "cli_io", "construct"},
     ("construct", "--from", "1221", "--apply", "5"):
         {"cli_construct", "cli_io", "construct", "core"},
     ("search", "--r", "3", "--max-order"): {"cli_search", "search"},
     ("search", "--r", "3", "--n", "9"): {"cli_search", "cli_io", "search"},
+    ("search", "--r", "10", "--n", "600"): {"cli_search", "cli_io", "search"},
     ("cnf", "encode", "--n", "4", "--r", "2"): {"cli_cnf", "satgen"},
     ("cnf", "decode", "v 1 -2 -3 4 -5 6 7 -8 0", "--n", "4", "--r", "2"):
         {"cli_cnf", "cli_io", "satgen", "core"},
