@@ -4,9 +4,11 @@ Subcommands: verify, table, construct, decompose, search, cnf.  Exit
 codes are uniform across commands: 0 means ok (property verified,
 witness found), 1 means a definite negative answer (violation found,
 infeasible order, structural mismatch), 2 means a usage or input error,
-and 3 means a budget ran out before the answer was conclusive.  A search
-worker process that dies, or whose error cannot be sent back, ends the
-command with one `error:` line and code 2, like an I/O error.
+and 3 means a budget ran out before the answer was conclusive.
+`search --enumerate --workers P` walks on at most P processes, this one
+among them, so it forks at most P - 1 search workers.  A worker that
+dies, or whose error cannot be sent back, ends the command with one
+`error:` line and code 2, like an I/O error.
 
 Positional inputs (partitions and solver models) are a file path, `-`
 for stdin, or inline text; partition content may be a digit string or

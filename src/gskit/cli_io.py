@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import sys
-from pathlib import Path
 
 from .values import Coloring, Kind, UsageError, to_file_form
 
@@ -26,10 +25,10 @@ def read_input(arg: str) -> str:
     if arg == "-":
         return sys.stdin.read()
     pathlike = "/" in arg or arg.endswith(".txt")
-    path = Path(arg)
-    if (pathlike or len(os.fsencode(arg)) <= _NAME_MAX) and path.exists():
-        if not path.is_dir():
-            return path.read_text()
+    if (pathlike or len(os.fsencode(arg)) <= _NAME_MAX) and os.path.exists(arg):
+        if not os.path.isdir(arg):
+            with open(arg) as f:
+                return f.read()
         if pathlike:
             raise UsageError(f"is a directory: {arg!r}")
     elif pathlike:

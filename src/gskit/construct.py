@@ -23,8 +23,9 @@ order is given in closed form by `values.gs_number`.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable, NamedTuple
 
 from .values import BASE_CATALOGUE, Coloring, Kind, PatternError
 
@@ -36,18 +37,13 @@ class MappingTag(Enum):
     FIVE_FOLD = "FiveFold"
 
 
-class _Pattern(NamedTuple):
-    """A construction's pattern, read by its map and its inverse: position
-    x of an image of [1, m] has color `fixed[x % period - 1]`, and position
-    period * k the color of k plus max(fixed), so past every fixed color.
-    The image has the order `_order` gives."""
-
-    period: int
-    fixed: tuple[int, ...]
-    order_error: str
-    fixed_error: str
-    image_error: str
-    small_error: str
+# A construction's pattern, read by its map and its inverse: position x of
+# an image of [1, m] has color `fixed[x % period - 1]`, and position
+# period * k the color of k plus max(fixed), so past every fixed color.
+# The image has the order `_order` gives.
+_Pattern = namedtuple(
+    "_Pattern", "period fixed order_error fixed_error image_error small_error"
+)
 
 
 _PATTERNS = {

@@ -1,40 +1,59 @@
 """Forked worker processes for split searches (POSIX only).
 
 `search.run_search` imports this module only when it runs subtree tasks
-on two or more children, so no other command pays for it.  The parent
-writes every task index to one shared pipe; each child takes indices
-from it until it is drained, then sends back one pickle of its (index,
-result) pairs on a pipe of its own and leaves with `os._exit`, so that
-no buffered output or exit handler of the parent runs twice.  A child
-that dies without a report, or whose error cannot be sent back, is
+on two or more processes, so no other command pays for it.  A run on P
+processes forks P - 1 children and counts the parent as the P-th.  The
+parent writes every task index to one shared pipe, then takes indices
+from it like the children until it is drained.  Each child sends back
+its (index, result) pairs with `marshal`, on a pipe of its own, and
+leaves with `os._exit`, so that no buffered output or exit handler of
+the parent runs twice.  Only a failed task's exception travels by
+`pickle`, imported on that path alone, so that it keeps its type.  A
+child that dies without a report, or whose error cannot be sent back, is
 reported as a `WorkerError`.  That class is defined in `gskit.values`,
-beside the CLI's other errors, so the CLI maps it to exit code 2
-without importing this module.
+beside the CLI's other errors, so the CLI maps it to exit code 2 without
+importing this module.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
-import pickle
 import struct
-from typing import Callable
+from collections.abc import Callable
 
 from .values import WorkerError
 
 # Indices go out in writes of at most 512 bytes, POSIX's least PIPE_BUF,
-# so each write is atomic and every 4-byte read in a child gets one whole
-# index.
+# so each write is atomic and every 4-byte read gets one whole index.
 _CHUNK = 128
+
+# The first byte of a child's report: its results by marshal, or its
+# exception by pickle.
+_DONE, _FAILED = b"M", b"P"
 
 
 def run_forked(fn: Callable, items: list, procs: int) -> list:
-    """`fn` over every item on `procs` forked children, in item order.
+    """`fn` over every item on `procs` processes, the parent and `procs - 1`
+    forked children, in item order.
 
-    A child whose call raises sends the exception instead, and it is
+    The results that children compute must be values `marshal` writes:
+    numbers, strings, bytes, and tuples, lists, sets and dicts of them.
+    Every index is written to the task pipe before the parent takes its
+    first.  A pipe on Linux holds at least one 4 KiB page, so up to 1,024
+    items (a split search has at most 256) the writes never block.  Past that
+    a write waits for the children to make room, and stops when one of
+    them has stopped taking tasks, as only a failure ends a child early.
+
+    A task that raises in a child sends its exception back, and it is
     raised here; a child that dies without a report raises WorkerError
     with its exit status.  Either way, only after every child is reaped
-    and every pipe closed.
+    and every pipe closed.  An exception in the parent's own tasks kills
+    the children, and is raised once they are reaped and every pipe is
+    closed too.
     """
+    if procs < 2:
+        raise ValueError(f"a forked run needs at least 2 processes, got {procs}")
     open_fds: set[int] = set()
 
     def pipe() -> tuple[int, int]:
@@ -50,21 +69,20 @@ def run_forked(fn: Callable, items: list, procs: int) -> list:
     payloads: list[bytes] = []
     try:
         task_read, task_write = pipe()
-        for _ in range(procs):
+        for _ in range(procs - 1):
             result_read, result_write = pipe()
             pid = os.fork()
             if pid == 0:  # pragma: no cover - runs in the child
                 _serve(fn, items, task_read, task_write, result_write)
             children.append((pid, result_read))
             close(result_write)
+        if _write_indices(task_write, len(items), [fd for _, fd in children]):
+            close(task_write)
+            done = _take(fn, items, task_read)
+        else:
+            close(task_write)
+            done = []  # a child failed, so this run raises below
         close(task_read)
-        try:
-            for start in range(0, len(items), _CHUNK):
-                chunk = range(start, min(start + _CHUNK, len(items)))
-                os.write(task_write, struct.pack(f"<{len(chunk)}I", *chunk))
-        except BrokenPipeError:
-            pass  # every child is gone; their statuses say why
-        close(task_write)
         for _, fd in children:
             parts = []
             while part := os.read(fd, 1 << 16):
@@ -81,20 +99,64 @@ def run_forked(fn: Callable, items: list, procs: int) -> list:
             close(fd)
         statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
 
-    results: list = [None] * len(items)
     for (pid, _), payload, status in zip(children, payloads, statuses):
+        tag, body = payload[:1], memoryview(payload)[1:]
+        error = None
         try:
-            ok, value = pickle.loads(payload)
+            if tag == _DONE:
+                done += marshal.loads(body)
+                continue
+            if tag == _FAILED:
+                error = _pickle().loads(body)
         except Exception:
+            pass  # no report, or one cut short: the child died first
+        if error is None:
             code = os.waitstatus_to_exitcode(status)
-            raise WorkerError(
-                f"search worker {pid} exited with status {code} and no report"
-            ) from None
-        if not ok:
-            raise value
-        for i, result in value:
-            results[i] = result
+            raise WorkerError(f"search worker {pid} exited with status {code} and no report")
+        raise error
+    results: list = [None] * len(items)
+    for i, result in done:
+        results[i] = result
     return results
+
+
+def _write_indices(task_write: int, count: int, result_fds: list) -> bool:
+    """Write the indices 0 .. count - 1 to the task pipe: False if a child
+    stopped taking tasks (its result pipe became readable) while a write
+    had to wait for room."""
+    os.set_blocking(task_write, False)
+    for start in range(0, count, _CHUNK):
+        chunk = range(start, min(start + _CHUNK, count))
+        data = struct.pack(f"<{len(chunk)}I", *chunk)
+        while True:
+            try:
+                os.write(task_write, data)  # all of it or nothing: at most PIPE_BUF
+                break
+            except BlockingIOError:
+                import select
+
+                stopped, _, _ = select.select(result_fds, [task_write], [])
+                if stopped:
+                    return False
+    return True
+
+
+def _take(fn: Callable, items: list, task_read: int) -> list:
+    """(index, result) for each index read from the task pipe until it is
+    drained."""
+    done = []
+    while index := os.read(task_read, 4):
+        (i,) = struct.unpack("<I", index)
+        done.append((i, fn(items[i])))
+    return done
+
+
+def _pickle():
+    """The `pickle` module, imported only once a task has failed, so that
+    a run whose tasks all succeed never loads it."""
+    import pickle
+
+    return pickle
 
 
 def _serve(fn: Callable, items: list, task_read: int, task_write: int, result_write: int):
@@ -103,18 +165,16 @@ def _serve(fn: Callable, items: list, task_read: int, task_write: int, result_wr
     code = 1
     try:
         os.close(task_write)
-        done = []
-        while index := os.read(task_read, 4):
-            (i,) = struct.unpack("<I", index)
-            done.append((i, fn(items[i])))
-        payload = pickle.dumps((True, done))
+        payload = _DONE + marshal.dumps(_take(fn, items, task_read))
         code = 0
     except BaseException as exc:  # re-raised in the parent
+        pickle = _pickle()
         try:
-            payload = pickle.dumps((False, exc))
+            payload = pickle.dumps(exc)
             pickle.loads(payload)
         except Exception:
-            payload = pickle.dumps((False, WorkerError(f"search worker failed: {exc!r}")))
+            payload = pickle.dumps(WorkerError(f"search worker failed: {exc!r}"))
+        payload = _FAILED + payload
     finally:
         try:
             view = memoryview(payload)

@@ -32,8 +32,8 @@ clause of a v or of a sum a + b = c at once, for a single join.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from io import TextIOBase
 from operator import itemgetter
-from typing import TextIO
 
 from .values import Coloring, Kind, Record, _set
 
@@ -240,7 +240,7 @@ def _dimacs_header(n: int, r: int, kind: Kind, symmetry: bool, num_clauses: int)
     )
 
 
-def write_dimacs(out: TextIO, n: int, r: int, kind: Kind, symmetry: bool = False):
+def write_dimacs(out: TextIOBase, n: int, r: int, kind: Kind, symmetry: bool = False):
     """Stream the DIMACS text of `encode(n, r, kind, symmetry)` to `out`.
 
     The bytes equal `to_dimacs(encode(...))`, but no clause list or whole

@@ -37,9 +37,10 @@ them by one rule per field: the deepest order is the max, the witnesses
 of the walks that reach it concatenate in prefix order, nodes add, and
 the run is exhausted when every walk is.  The merge equals the
 sequential walk, so worker count never changes the output.  Split tasks
-run on child processes started with `os.fork` (see `gskit.pool`).
-First-witness runs, runs with a budget, runs on one worker or one CPU,
-and runs where `os.fork` is missing are never split.
+run on the calling process and children it starts with `os.fork` (see
+`gskit.pool`).  First-witness runs, runs with a budget, runs on one
+worker or one usable CPU, and runs where `os.fork` is missing are never
+split.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from __future__ import annotations
 import os
 import sys
 import time
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .values import Coloring, Kind, Record, _set, gs_number
 
@@ -129,16 +130,11 @@ class MaximalReport(Record):
         _set(self, "report", report)
 
 
-class _Walk(NamedTuple):
-    """What one walk found, all strictly below its prefix: `nodes` counts
-    assignments, `deepest` is the largest order shown feasible (or 0), and
-    `witnesses` its full-color paths (first-witness: the one at n)."""
-
-    witnesses: list[tuple[int, ...]]
-    nodes: int
-    exhausted: bool
-    frontier: list[tuple[int, ...]]
-    deepest: int
+# What one walk found, all strictly below its prefix: `witnesses` lists
+# the full-color paths of order `deepest` (first-witness: the one at n),
+# `nodes` counts assignments, `frontier` holds the unexpanded paths at the
+# stop depth, and `deepest` is the largest order shown feasible (or 0).
+_Walk = namedtuple("_Walk", "witnesses nodes exhausted frontier deepest")
 
 
 _WALL_CHECK_INTERVAL = 64
@@ -331,14 +327,15 @@ def parallel_split(cfg: SearchConfig, depth: int) -> list[SubtreeTask]:
     return [SubtreeTask(config=cfg, prefix=p) for p in _explore(unbudgeted, (), depth).frontier]
 
 
-def _walk_task(task: SubtreeTask) -> _Walk:
-    """Walk one subtree: the function a split run forks."""
-    return _explore(task.config, task.prefix, None)
+def _walk_task(task: SubtreeTask) -> tuple:
+    """Walk one subtree: the function a split run forks.  It returns the
+    `_Walk` as a plain tuple, which `marshal` can send back."""
+    return tuple(_explore(task.config, task.prefix, None))
 
 
 def run_task(task: SubtreeTask) -> SearchReport:
     """Search one subtree; nodes are counted strictly below the prefix."""
-    return _report(task.config, _walk_task(task))
+    return _report(task.config, _explore(task.config, task.prefix, None))
 
 
 def default_split_depth(cfg: SearchConfig) -> int:
@@ -355,9 +352,17 @@ def check_parallelism(workers: int) -> None:
         raise ValueError("worker count must be positive")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has
+    one (so `taskset` or a cpuset counts), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _drive(cfg: SearchConfig, workers: int = 1) -> _Walk:
     """Walk `cfg`'s whole tree, in one piece or split as the module docstring says."""
-    procs = min(workers, os.cpu_count() or 1)
+    procs = min(workers, _usable_cpus())
     # A forked child gets a copy of every lock, but only the calling
     # thread; with other threads running, one might hold a lock forever.
     # The split depth is read last, only for a walk that could split.
@@ -376,7 +381,7 @@ def _drive(cfg: SearchConfig, workers: int = 1) -> _Walk:
         walks = run_forked(_walk_task, tasks, procs)
     else:
         walks = [_walk_task(t) for t in tasks]
-    walks.insert(0, shallow)
+    walks = [shallow, *map(_Walk._make, walks)]
     deepest = max(walk.deepest for walk in walks)
     return _Walk(
         witnesses=[w for walk in walks if walk.deepest == deepest for w in walk.witnesses],
@@ -394,8 +399,10 @@ def run_search(cfg: SearchConfig, workers: int = 1) -> SearchReport:
     split, at `default_split_depth(cfg)`, depends only on the config.  The
     module docstring says which runs split; neither a budgeted run (so its
     budget caps the whole run) nor one with other threads running ever
-    does.  A split run starts at most min(workers, tasks, CPUs) child
-    processes.  A worker count below 1 raises ValueError before any search.
+    does.  A split run uses min(workers, tasks, CPUs) processes, counting
+    the calling one, so it forks one child fewer; the CPUs are those this
+    process may run on.  A worker count below 1 raises ValueError before
+    any search.
     """
     check_parallelism(workers)
     return _report(cfg, _drive(cfg, workers))

@@ -129,26 +129,32 @@ class Coloring(Record):
         """Digit-string form; only defined while every entry is a single digit."""
         if max(self.colors) > 9:
             raise ValueError("compact form requires all colors <= 9")
-        return _join_decimal(self.colors, "")
+        # Every entry is 1-9 here, so it fits in a byte, and one translate
+        # writes all the digits in C.
+        return bytes(self.colors).translate(_DIGITS).decode()
 
     def __str__(self) -> str:
         try:
             return self.compact()
         except ValueError:
-            return _join_decimal(self.colors, " ")
+            return _join_decimal(self.colors)
 
 
-def _join_decimal(colors, sep: str) -> str:
-    """Colors as decimal text joined by `sep`, formatting each distinct one once."""
+# Byte v to the ASCII digit of v, for v = 0-9: what `Coloring.compact` translates.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def _join_decimal(colors) -> str:
+    """Colors as decimal text joined by spaces, formatting each distinct one once."""
     text = {v: str(v) for v in set(colors)}
-    return sep.join(map(text.__getitem__, colors))
+    return " ".join(map(text.__getitem__, colors))
 
 
 def to_file_form(c: Coloring, kind: Kind) -> str:
     """Bit-exact explicit file form (header, entries, trailing newline)."""
     return (
         f"gspartition v1 kind={kind.value} r={c.r} n={c.n}\n"
-        + _join_decimal(c.colors, " ")
+        + _join_decimal(c.colors)
         + "\n"
     )
 

@@ -36,6 +36,22 @@ def test_parse_compact_roundtrip():
     assert str(c) == "1221"
 
 
+@settings(max_examples=300, deadline=None)
+@given(colors=st.lists(st.integers(1, 9), min_size=1, max_size=300))
+def test_compact_form_writes_each_color_as_its_digit(colors):
+    assert Coloring.from_colors(colors).compact() == "".join(map(str, colors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(colors=st.lists(st.integers(1, 9), min_size=0, max_size=50),
+       big=st.one_of(st.integers(10, 300), st.just(256), st.integers(10, 10 ** 30)),
+       at=st.integers(0, 50))
+def test_compact_form_refuses_a_color_above_nine(colors, big, at):
+    colors.insert(min(at, len(colors)), big)
+    with pytest.raises(ValueError, match=r"^compact form requires all colors <= 9$"):
+        Coloring.from_colors(colors).compact()
+
+
 def test_parse_compact_rejects_bad_characters():
     with pytest.raises(ParseError) as exc:
         parse_coloring("1x1")

@@ -19,10 +19,11 @@ import gskit
 # argparse's exit from --help or a usage error is its code).  The harness
 # prints with repr, so json counts when the command loads it.
 _FOOTPRINT = """
-import contextlib, io, os, sys
+import contextlib, io, sys
 before = set(sys.modules)
 if {cpus}:
-    os.cpu_count = lambda: {cpus}
+    import gskit.search
+    gskit.search._usable_cpus = lambda: {cpus}
 from gskit.cli import main
 try:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -35,9 +36,12 @@ print(repr([code, sorted(set(sys.modules) - before)]))
 _HEAVY = {"concurrent.futures.process", "multiprocessing"}
 
 
-def _footprint(argv, cpus=None):
+def _footprint(argv, cpus=None, site=True):
+    """The exit code and the modules the command loads; with `site` False
+    the interpreter runs with -S, so no site hook preloads any module."""
+    flags = [] if site else ["-S"]
     proc = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT.format(cpus=cpus), *argv],
+        [sys.executable, *flags, "-c", _FOOTPRINT.format(cpus=cpus), *argv],
         capture_output=True,
         text=True,
         check=True,
@@ -79,6 +83,21 @@ def test_commands_load_only_their_layers(argv):
         *(f"gskit.{module}" for module in _COMMAND_LAYERS[tuple(argv)]),
     }
     assert not loaded & _HEAVY
+
+
+# A split enumeration on two processes, which forks one child.
+_SPLIT_RUN = ("search", "--kind", "weak", "--r", "5", "--n", "89", "--enumerate", "--workers", "2")
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in [*_COMMAND_LAYERS, _SPLIT_RUN]])
+def test_commands_load_neither_pathlib_typing_nor_pickle(argv):
+    # Without the site hook, which may preload modules, each of these would
+    # cost milliseconds per command.  A split run's children send their
+    # results by marshal, so pickle stays out of a run without errors.
+    code, loaded = _footprint(argv, cpus=2, site=False)
+    assert code == 0
+    assert ("gskit.pool" in loaded) == (tuple(argv) == _SPLIT_RUN)
+    assert not loaded & {"pathlib", "typing", "pickle"}
 
 
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["bogus"], 2)])

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import os
 import re
+import select
 import signal
 import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -21,6 +23,10 @@ from gskit.search import SearchConfig, SearchMode, exists_partition, report_json
 _CFG = SearchConfig(kind=Kind.WEAK, r=5, n=89, mode=SearchMode.ENUMERATE_ALL)
 # Weak r = 3 at n = 17 has two tasks at depth 2.
 _SMALL = SearchConfig(kind=Kind.WEAK, r=3, n=17, mode=SearchMode.ENUMERATE_ALL)
+
+# The test process: a split run's parent, which takes tasks like its children.
+_PARENT = os.getpid()
+_WALK_TASK = search._walk_task
 
 
 @pytest.fixture(autouse=True)
@@ -40,7 +46,7 @@ def time_limit():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Counts the children run_search forks."""
+    """Counts the children run_search forks: one fewer than its processes."""
     pids = []
     real_fork = os.fork
 
@@ -70,11 +76,12 @@ def _open_fds():
     (4, 8, _SMALL, 2, 2),  # by the tasks
 ])
 def test_process_count_is_bounded(monkeypatch, forks, workers, cpus, cfg, split_depth, want):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    # `want` processes, the parent among them, so one fork fewer.
+    monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
     if split_depth is not None:
         monkeypatch.setattr(search, "default_split_depth", lambda cfg: split_depth)
     report = run_search(cfg, workers=workers)
-    assert len(forks) == want
+    assert len(forks) == want - 1
     assert report == exists_partition(cfg)
     assert _no_children_left()
 
@@ -95,12 +102,13 @@ def _explore_depths(monkeypatch):
 def test_single_process_runs_do_not_split(monkeypatch, forks, setup):
     want = exists_partition(_CFG)
     workers = 1 if setup == "one worker" else 2
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    if setup == "one cpu":
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    elif setup == "no cpu count":
+    if setup == "no cpu count":
+        # No affinity set to read, and no CPU count either.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-    elif setup == "no fork":
+    else:
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 1 if setup == "one cpu" else 2)
+    if setup == "no fork":
         monkeypatch.delattr(os, "fork")
     depths = _explore_depths(monkeypatch)
     if setup == "threads":
@@ -119,12 +127,61 @@ def test_single_process_runs_do_not_split(monkeypatch, forks, setup):
     assert forks == []
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_a_run_pinned_to_one_cpu_never_forks(forks):
+    # As under `taskset -c 0` or a one-CPU cpuset: os.cpu_count() still
+    # reports every CPU of the machine, but the run may use only one.
+    pinned = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(pinned)})
+    try:
+        assert search._usable_cpus() == 1
+        assert run_search(_CFG, workers=2) == exists_partition(_CFG)
+    finally:
+        os.sched_setaffinity(0, pinned)
+    assert forks == []
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert search._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert search._usable_cpus() == 5
+
+
 class _TwoArgError(Exception):
     """Pickles, but cannot be unpickled: pickle rebuilds it from its one
     stored argument."""
 
     def __init__(self, a, b):
         super().__init__(a)
+
+
+@contextmanager
+def _faulty(fault, where, work=_WALK_TASK):
+    """A task function that runs `fault` everywhere, in the parent only, or
+    in the forked children only, and `work` elsewhere.  With the fault in
+    the children, the parent waits in each of its tasks until a child has
+    started one, so a child meets the fault however fast the parent drains
+    the tasks."""
+    read_end, write_end = os.pipe()
+
+    def task_function(task):
+        if where == "children":
+            if os.getpid() != _PARENT:
+                os.write(write_end, b"!")
+                return fault(task)
+            select.select([read_end], [], [], 60)
+            return work(task)
+        if where == "parent" and os.getpid() != _PARENT:
+            return work(task)
+        return fault(task)
+
+    try:
+        yield task_function
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 def _raise_unpicklable(task):
@@ -150,22 +207,27 @@ def _kill_self(task):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-@pytest.mark.parametrize("walk_task, error, match", [
-    (_raise_value_error, ValueError, r"^bad task \("),
-    (_raise_unpicklable, RuntimeError, r"^search worker failed: .*LocalError\('from a class pickle"),
-    (_raise_unloadable, RuntimeError, r"^search worker failed: _TwoArgError\('needs two arguments'\)$"),
-    (_exit_7, RuntimeError, r"^search worker \d+ exited with status 7 and no report$"),
-    (_kill_self, RuntimeError, r"^search worker \d+ exited with status -9 and no report$"),
+@pytest.mark.parametrize("fault, where, error, match", [
+    (_raise_value_error, "everywhere", ValueError, r"^bad task \("),
+    (_raise_value_error, "parent", ValueError, r"^bad task \("),
+    (_raise_unpicklable, "children", RuntimeError,
+     r"^search worker failed: .*LocalError\('from a class pickle"),
+    (_raise_unloadable, "children", RuntimeError,
+     r"^search worker failed: _TwoArgError\('needs two arguments'\)$"),
+    (_exit_7, "children", RuntimeError, r"^search worker \d+ exited with status 7 and no report$"),
+    (_kill_self, "children", RuntimeError,
+     r"^search worker \d+ exited with status -9 and no report$"),
 ])
-def test_worker_failures_surface_after_cleanup(monkeypatch, forks, walk_task, error, match):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(search, "_walk_task", walk_task)
-    fds = _open_fds()
-    with pytest.raises(error, match=match):
-        run_search(_CFG, workers=2)
-    assert len(forks) == 2
-    assert _no_children_left()
-    assert _open_fds() == fds
+def test_worker_failures_surface_after_cleanup(monkeypatch, forks, fault, where, error, match):
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    with _faulty(fault, where) as walk_task:
+        monkeypatch.setattr(search, "_walk_task", walk_task)
+        fds = _open_fds()
+        with pytest.raises(error, match=match):
+            run_search(_CFG, workers=2)
+        assert len(forks) == 1
+        assert _no_children_left()
+        assert _open_fds() == fds
 
 
 def test_worker_error_has_one_class_that_pickles():
@@ -197,7 +259,7 @@ def test_split_walks_merge_into_the_sequential_walk(monkeypatch, cfg, split_dept
     # Witnesses, nodes, exhausted and deepest, each merged by its own rule,
     # equal the one walk of the whole tree, at the default depth (None) and
     # at depths patched in where _drive reads it.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
     if split_depth is not None:
         monkeypatch.setattr(search, "default_split_depth", lambda cfg: split_depth)
     want = search._explore(cfg, (), None)
@@ -207,27 +269,64 @@ def test_split_walks_merge_into_the_sequential_walk(monkeypatch, cfg, split_dept
 
 
 def test_interrupted_parent_kills_and_reaps_its_children(forks):
-    # The children would sleep for a minute; the alarm raises in the
-    # parent while it waits for their reports.
+    # The child and the parent each sleep for a minute in a task of their
+    # own; the alarm raises in the parent while it sleeps.
     fds = _open_fds()
     signal.setitimer(signal.ITIMER_REAL, 0.5)
     start = time.monotonic()
     with pytest.raises(TimeoutError):
         run_forked(time.sleep, [60, 60, 60], 2)
     assert time.monotonic() - start < 30
-    assert len(forks) == 2
+    assert len(forks) == 1
     assert _no_children_left()
     assert _open_fds() == fds
 
 
-def test_pool_runs_every_item_once_in_order():
-    # Far more indices than one 512-byte write holds, on more workers than
-    # this machine may have cores; the children need not pickle `fn`.
+def test_pool_runs_every_item_once_in_order(forks):
+    # Far more indices than one 512-byte write holds, on more processes
+    # than this machine may have cores; the children need not pickle `fn`.
+    # The parent is one of the three processes.
     items = list(range(1000))
     results = run_forked(lambda x: (x * x, os.getpid()), items, 3)
     assert [value for value, _ in results] == [x * x for x in items]
-    pids = {pid for _, pid in results}
-    assert os.getpid() not in pids and len(pids) <= 3
+    assert len(forks) == 2
+    assert {pid for _, pid in results} <= {os.getpid(), *forks}
+    assert _no_children_left()
+
+
+# More indices than a 64 KiB pipe, Linux's default, holds: the parent
+# writes them as the children make room.
+_MANY = list(range(50_000))
+
+
+def test_pool_writes_more_indices_than_a_pipe_holds(forks):
+    results = run_forked(lambda x: x + 1, _MANY, 2)
+    assert results == [x + 1 for x in _MANY]
+    assert len(forks) == 1
+    assert _no_children_left()
+
+
+def test_pool_stops_writing_indices_when_its_children_die(forks):
+    # The child dies in its first task while the pipe is full; the parent
+    # must not wait for room that will never come.
+    fds = _open_fds()
+    with pytest.raises(RuntimeError, match=r"^search worker \d+ exited with status 7 and no report$"):
+        run_forked(lambda x: os._exit(7) if os.getpid() != _PARENT else x, _MANY, 2)
+    assert len(forks) == 1
+    assert _no_children_left()
+    assert _open_fds() == fds
+
+
+def test_pool_refuses_a_run_on_one_process():
+    with pytest.raises(ValueError, match=r"^a forked run needs at least 2 processes, got 1$"):
+        run_forked(str, [1, 2], 1)
+
+
+def test_pool_reports_an_unmarshallable_result():
+    # Only a child's results travel by marshal.
+    with _faulty(lambda x: object(), "children", work=str) as fn:
+        with pytest.raises(ValueError, match="unmarshallable object"):
+            run_forked(fn, [1, 2, 3, 4], 2)
     assert _no_children_left()
 
 
@@ -237,7 +336,8 @@ def test_pool_runs_every_item_once_in_order():
 _CLI = """
 import os, sys
 sys.stdout.write("before the search\\n")
-os.cpu_count = lambda: 2
+import gskit.search
+gskit.search._usable_cpus = lambda: 2
 from gskit.cli import main
 sys.exit(main(sys.argv[1:]))
 """
@@ -293,12 +393,21 @@ def test_cli_maximal_enumeration_on_two_workers_is_exact(kind, r, split_depth):
     ("os.kill(os.getpid(), signal.SIGKILL)", "-9"),
 ])
 def test_cli_reports_a_dead_worker_in_one_line(death, status):
-    # Every child dies in its first task: the command ends with one error
-    # line and the input-error code, not a traceback.
+    # The child dies in its first task, while the parent walks its own: the
+    # command ends with one error line and the input-error code, not a
+    # traceback.
     patch = (
-        "import os, signal\n"
+        "import os, select, signal\n"
         "import gskit.search\n"
-        f"gskit.search._walk_task = lambda task: {death}\n"
+        "parent, walk_task = os.getpid(), gskit.search._walk_task\n"
+        "started = os.pipe()\n"
+        "def faulty(task):\n"
+        "    if os.getpid() == parent:\n"
+        "        select.select([started[0]], [], [], 60)\n"
+        "        return walk_task(task)\n"
+        "    os.write(started[1], b'!')\n"
+        f"    {death}\n"
+        "gskit.search._walk_task = faulty\n"
     )
     argv = ["search", "--kind", "weak", "--r", "5", "--n", "89", "--enumerate"]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
