@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import sys
 
-from .cli_io import read_input
+from .cli_io import print_coloring, prints_compact, read_input, resolve_kind
 from .core import canonicalize, parse_coloring_with_kind
 from .structure import decompose_full
 
@@ -15,7 +15,7 @@ def add_arguments(parser):
 
 
 def run(args) -> int:
-    coloring, _ = parse_coloring_with_kind(read_input(args.input))
+    coloring, declared = parse_coloring_with_kind(read_input(args.input))
     canon = canonicalize(coloring)
     if canon != coloring:
         print("note: input canonicalized before decomposition", file=sys.stderr)
@@ -30,5 +30,12 @@ def run(args) -> int:
         }
         print(json.dumps(doc))
     else:
-        print(f"base={dec.base} tags={','.join(t.value for t in dec.tags)}")
+        # A base no digit string holds follows its line in file form, which
+        # `verify` and `decompose` read back.
+        tags = ",".join(t.value for t in dec.tags)
+        if prints_compact(dec.base):
+            print(f"base={dec.base.compact()} tags={tags}")
+        else:
+            print(f"base=file tags={tags}")
+            print_coloring(dec.base, resolve_kind(None, declared))
     return 0

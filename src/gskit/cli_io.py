@@ -44,9 +44,14 @@ def resolve_kind(flag: str | None, declared: Kind | None) -> Kind:
     return Kind.STRONG
 
 
+def prints_compact(c: Coloring) -> bool:
+    """Whether `print_coloring` prints `c` as a digit string."""
+    return c.r <= 9 and max(c.colors) <= 9
+
+
 def print_coloring(c: Coloring, kind: Kind):
     """Compact digit string when possible, explicit file form otherwise."""
-    if c.r <= 9 and max(c.colors) <= 9:
+    if prints_compact(c):
         print(c.compact())
     else:
         sys.stdout.write(to_file_form(c, kind))

@@ -2,9 +2,10 @@
 
 `search.run_search` imports this module only when it runs subtree tasks
 on two or more processes, so no other command pays for it.  A run on P
-processes forks P - 1 children and counts the parent as the P-th.  The
-parent writes every task index to one shared pipe, then takes indices
-from it like the children until it is drained.  Each child sends back
+processes forks P - 1 children and counts the parent as the P-th.
+Before it forks, the parent writes every task index, one byte each, to
+one shared pipe and closes its write end; then it takes indices from the
+pipe like the children until it is drained.  Each child sends back
 its (index, result) pairs with `marshal`, on a pipe of its own, and
 leaves with `os._exit`, so that no buffered output or exit handler of
 the parent runs twice.  Only a failed task's exception travels by
@@ -19,14 +20,14 @@ from __future__ import annotations
 
 import marshal
 import os
-import struct
 from collections.abc import Callable
 
 from .values import WorkerError
 
-# Indices go out in writes of at most 512 bytes, POSIX's least PIPE_BUF,
-# so each write is atomic and every 4-byte read gets one whole index.
-_CHUNK = 128
+# One byte per index, all in one write: at most 256 bytes, within POSIX's
+# least PIPE_BUF (512), so the write is atomic and the pipe holds it whole
+# before any child reads.
+_MAX_ITEMS = 256
 
 # The first byte of a child's report: its results by marshal, or its
 # exception by pickle.
@@ -39,11 +40,7 @@ def run_forked(fn: Callable, items: list, procs: int) -> list:
 
     The results that children compute must be values `marshal` writes:
     numbers, strings, bytes, and tuples, lists, sets and dicts of them.
-    Every index is written to the task pipe before the parent takes its
-    first.  A pipe on Linux holds at least one 4 KiB page, so up to 1,024
-    items (a split search has at most 256) the writes never block.  Past that
-    a write waits for the children to make room, and stops when one of
-    them has stopped taking tasks, as only a failure ends a child early.
+    There may be at most 256 items, one byte of the task pipe each.
 
     A task that raises in a child sends its exception back, and it is
     raised here; a child that dies without a report raises WorkerError
@@ -54,6 +51,8 @@ def run_forked(fn: Callable, items: list, procs: int) -> list:
     """
     if procs < 2:
         raise ValueError(f"a forked run needs at least 2 processes, got {procs}")
+    if len(items) > _MAX_ITEMS:
+        raise ValueError(f"a forked run takes at most {_MAX_ITEMS} items, got {len(items)}")
     open_fds: set[int] = set()
 
     def pipe() -> tuple[int, int]:
@@ -69,19 +68,16 @@ def run_forked(fn: Callable, items: list, procs: int) -> list:
     payloads: list[bytes] = []
     try:
         task_read, task_write = pipe()
+        os.write(task_write, bytes(range(len(items))))
+        close(task_write)
         for _ in range(procs - 1):
             result_read, result_write = pipe()
             pid = os.fork()
             if pid == 0:  # pragma: no cover - runs in the child
-                _serve(fn, items, task_read, task_write, result_write)
+                _serve(fn, items, task_read, result_write)
             children.append((pid, result_read))
             close(result_write)
-        if _write_indices(task_write, len(items), [fd for _, fd in children]):
-            close(task_write)
-            done = _take(fn, items, task_read)
-        else:
-            close(task_write)
-            done = []  # a child failed, so this run raises below
+        done = _take(fn, items, task_read)
         close(task_read)
         for _, fd in children:
             parts = []
@@ -120,33 +116,12 @@ def run_forked(fn: Callable, items: list, procs: int) -> list:
     return results
 
 
-def _write_indices(task_write: int, count: int, result_fds: list) -> bool:
-    """Write the indices 0 .. count - 1 to the task pipe: False if a child
-    stopped taking tasks (its result pipe became readable) while a write
-    had to wait for room."""
-    os.set_blocking(task_write, False)
-    for start in range(0, count, _CHUNK):
-        chunk = range(start, min(start + _CHUNK, count))
-        data = struct.pack(f"<{len(chunk)}I", *chunk)
-        while True:
-            try:
-                os.write(task_write, data)  # all of it or nothing: at most PIPE_BUF
-                break
-            except BlockingIOError:
-                import select
-
-                stopped, _, _ = select.select(result_fds, [task_write], [])
-                if stopped:
-                    return False
-    return True
-
-
 def _take(fn: Callable, items: list, task_read: int) -> list:
     """(index, result) for each index read from the task pipe until it is
     drained."""
     done = []
-    while index := os.read(task_read, 4):
-        (i,) = struct.unpack("<I", index)
+    while index := os.read(task_read, 1):
+        i = index[0]
         done.append((i, fn(items[i])))
     return done
 
@@ -159,12 +134,11 @@ def _pickle():
     return pickle
 
 
-def _serve(fn: Callable, items: list, task_read: int, task_write: int, result_write: int):
+def _serve(fn: Callable, items: list, task_read: int, result_write: int):
     """A child's whole life: call `fn` on the items whose indices it
     reads, report, and leave with `os._exit`."""
     code = 1
     try:
-        os.close(task_write)
         payload = _DONE + marshal.dumps(_take(fn, items, task_read))
         code = 0
     except BaseException as exc:  # re-raised in the parent

@@ -460,7 +460,12 @@ def test_search_prints_witnesses_above_nine_colors_in_file_form(capsys, monkeypa
     assert invoke(["verify", "-"], monkeypatch, out) == 0
     assert capsys.readouterr() == ("ok\n", "")
     assert invoke(["decompose", "-"], monkeypatch, out) == 0
-    assert capsys.readouterr().out.startswith("base=")
+    # No peel applies, so the base is the witness, after a line of its own.
+    first, base = capsys.readouterr().out.split("\n", 1)
+    assert first == "base=file tags="
+    assert base == out
+    assert invoke(["verify", "-"], monkeypatch, base) == 0
+    assert capsys.readouterr() == ("ok\n", "")
 
 
 def test_json_colorings_above_nine_colors_are_space_separated(capsys):

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from gskit.core import Kind, check_partition, is_canonical
+from gskit.pool import _MAX_ITEMS
 from gskit.search import (
     STREAK,
     SubtreeTask,
@@ -376,6 +377,21 @@ def test_default_split_depth_is_config_pure():
     cfg = _cfg(Kind.STRONG, 4, 24, SearchMode.ENUMERATE_ALL)
     assert default_split_depth(cfg) == default_split_depth(cfg)
     assert default_split_depth(_cfg(Kind.STRONG, 2, 4)) == 0
+
+
+@pytest.mark.parametrize("kind, r, n", [
+    *((Kind.STRONG, r, None) for r in range(3, 12)),
+    *((Kind.WEAK, r, None) for r in range(3, 11)),
+    (Kind.WEAK, 8, 500),
+])
+def test_default_split_fits_the_pool(kind, r, n):
+    # Position 1 is forced and the canonical tree is binary, so the split
+    # has at most 2^(depth - 1) <= 128 tasks: within the 256 that a forked
+    # run takes, one byte of its task pipe each.
+    cfg = _cfg(kind, r, walk_limit(kind, r) if n is None else n, SearchMode.ENUMERATE_ALL)
+    depth = default_split_depth(cfg)
+    assert 1 <= depth <= 8
+    assert len(_explore(cfg, (), depth).frontier) <= 2 ** (depth - 1) <= 128 < _MAX_ITEMS
 
 
 def test_report_json_schema():

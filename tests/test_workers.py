@@ -283,10 +283,10 @@ def test_interrupted_parent_kills_and_reaps_its_children(forks):
 
 
 def test_pool_runs_every_item_once_in_order(forks):
-    # Far more indices than one 512-byte write holds, on more processes
-    # than this machine may have cores; the children need not pickle `fn`.
-    # The parent is one of the three processes.
-    items = list(range(1000))
+    # As many indices as the task pipe takes, on more processes than this
+    # machine may have cores; the children need not pickle `fn`.  The
+    # parent is one of the three processes.
+    items = list(range(256))
     results = run_forked(lambda x: (x * x, os.getpid()), items, 3)
     assert [value for value, _ in results] == [x * x for x in items]
     assert len(forks) == 2
@@ -294,26 +294,12 @@ def test_pool_runs_every_item_once_in_order(forks):
     assert _no_children_left()
 
 
-# More indices than a 64 KiB pipe, Linux's default, holds: the parent
-# writes them as the children make room.
-_MANY = list(range(50_000))
-
-
-def test_pool_writes_more_indices_than_a_pipe_holds(forks):
-    results = run_forked(lambda x: x + 1, _MANY, 2)
-    assert results == [x + 1 for x in _MANY]
-    assert len(forks) == 1
-    assert _no_children_left()
-
-
-def test_pool_stops_writing_indices_when_its_children_die(forks):
-    # The child dies in its first task while the pipe is full; the parent
-    # must not wait for room that will never come.
+def test_pool_refuses_more_items_than_its_task_pipe_takes(forks):
+    # One byte per index: 257 items are refused before any pipe or fork.
     fds = _open_fds()
-    with pytest.raises(RuntimeError, match=r"^search worker \d+ exited with status 7 and no report$"):
-        run_forked(lambda x: os._exit(7) if os.getpid() != _PARENT else x, _MANY, 2)
-    assert len(forks) == 1
-    assert _no_children_left()
+    with pytest.raises(ValueError, match=r"^a forked run takes at most 256 items, got 257$"):
+        run_forked(str, list(range(257)), 2)
+    assert forks == []
     assert _open_fds() == fds
 
 
