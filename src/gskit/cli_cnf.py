@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .satgen import clause_count, decode, parse_model, write_dimacs
-from .values import MAX_CNF_CLAUSES, Kind, UsageError
+from .values import MAX_CNF_CLAUSES, SUPPRESS, Kind, UsageError
 
 
 def add_arguments(parser):
@@ -15,9 +14,9 @@ def add_arguments(parser):
     # parser sets only the flags it is given, over the defaults set here.
     # --symmetry shapes only the encoding, so decode refuses it.
     actions = parser.add_subparsers(dest="action", required=True)
-    encode = actions.add_parser("encode", argument_default=argparse.SUPPRESS,
+    encode = actions.add_parser("encode", argument_default=SUPPRESS,
                                 help="write DIMACS CNF to stdout")
-    decode = actions.add_parser("decode", argument_default=argparse.SUPPRESS,
+    decode = actions.add_parser("decode", argument_default=SUPPRESS,
                                 help="decode a solver model, print and verify it")
     for q in (parser, encode, decode):
         q.add_argument("--n", type=int, help="order (required)")

@@ -8,7 +8,8 @@ its two text forms (`gskit.core` has their parsers), the four errors the
 CLI maps to exit codes (`gskit.pool` raises `WorkerError`, and the CLI
 names it without loading the pool), the catalogue of maximal
 partitions with at most three colors, the closed-form Gallai-Schur
-numbers, and the CLI's caps that more than one of its modules name.
+numbers, and the CLI's caps and the one argparse constant that more
+than one of its modules name.
 """
 
 from __future__ import annotations
@@ -209,6 +210,11 @@ def gs_number(r: int, kind: Kind) -> GsFunctionValue:
 # 4,301 for both kinds; past this the value could not be printed, and
 # computing it would take seconds at r in the millions.
 MAX_GS_R = 12_303
+
+# argparse.SUPPRESS, named here so that `cli_cnf` can declare it and `cli`
+# read it without importing argparse: a flag whose default it is sets no
+# attribute unless it is given.
+SUPPRESS = "==SUPPRESS=="
 
 # Most clauses cnf encode emits.  The text is streamed block by block, so
 # memory follows the largest block, not the whole output: 15 MB peak RSS at

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gskit import cli
 from gskit.cli import main
 from gskit.cli_construct import MAX_CONSTRUCT_ORDER
 from gskit.cli_search import MAX_SEARCH_R
@@ -1230,7 +1232,25 @@ def _argv(draw):
         argv += ["--n", draw(_small(-1, 8)), "--r", draw(_small(-1, 4))]
         argv += draw(_KINDS) + draw(st.sampled_from([[], ["--symmetry"]]))
         argv += draw(st.one_of(st.just([]), _INPUTS.map(lambda m: [m])))
+    # Rewrite up to two flags into forms only argparse reads, so its path
+    # stays fuzzed: `--flag=value`, a prefix of the flag, or the flag twice.
+    flags = [i for i, token in enumerate(argv) if token in _FLAGS]
+    for i in sorted(draw(st.sets(st.sampled_from(flags), max_size=2)) if flags else (),
+                    reverse=True):
+        flag, width = argv[i], 1 if argv[i] in _SWITCHES else 2
+        form = draw(st.sampled_from(["=", "prefix", "twice"]))
+        if form == "=" and width == 2 and i + 1 < len(argv):
+            argv[i:i + 2] = [f"{flag}={argv[i + 1]}"]
+        elif form == "prefix" and len(flag) > 3:
+            argv[i] = flag[:draw(st.integers(3, len(flag) - 1))]
+        elif form == "twice":
+            argv[i:i] = argv[i:i + width]
     return argv
+
+
+_SWITCHES = {"--json", "--all-witnesses", "--max-order", "--enumerate", "--symmetry"}
+_FLAGS = _SWITCHES | {"--kind", "--max-r", "--base", "--maximal", "--from", "--apply", "--r",
+                      "--n", "--limit", "--workers", "--budget", "--wall"}
 
 
 @settings(max_examples=200, deadline=None)
@@ -1246,3 +1266,118 @@ def test_cli_never_tracebacks(argv, stdin_text):
         sys.stdin = saved
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def _argparse_values(argv):
+    """vars() of the namespace argparse builds for `argv`, or None where it
+    exits (help or a usage error)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _assert_reader_matches_argparse(argv):
+    """The reader declines `argv` or builds argparse's namespace, key by key
+    (`func` included, a NaN equal to a NaN); True where it reads it."""
+    read = cli._read(argv)
+    if read is None:
+        return False
+    expected = _argparse_values(argv)
+    assert expected is not None, argv
+    got = vars(read)
+    assert list(got) == list(expected), argv
+    for key, value in expected.items():
+        assert got[key] == value or (value != value and got[key] != got[key]), (argv, key)
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+def test_reader_matches_argparse(argv):
+    _assert_reader_matches_argparse(argv)
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["search", "--r=3"], False),
+    (["search", "--r", "3", "--max-o"], False),
+    (["verify", "1221", "-h"], False),
+    (["verify", "-h"], False),
+    (["verify", "-5"], False),
+    (["verify", "--help"], False),
+    (["verify", "--", "1221"], False),
+    (["search", "--r", "3", "--n", "-5"], False),
+    ([], False),
+    (["-h"], False),
+    (["bogus"], False),
+    (["verify", "1221", "--kind", "weak", "--kind", "strong"], True),
+    (["construct", "--from", "1221", "--apply", "5", "--apply", "i5"], True),
+    (["construct", "--from", "-"], True),
+    (["construct", "--maximal", "4", "--maximal", "5"], True),
+    (["verify", ""], True),
+    (["construct", "--from", ""], True),
+    (["search", "--n", "", "--r", "3"], False),
+    (["search", "--r", " 6"], True),
+    (["search", "--r", "3", "--wall", "inf"], True),
+    (["search", "--r", "3", "--wall", "nan"], True),
+    (["search", "--r", "3", "--wall", "x"], False),
+    (["construct", "--maximal", "4", "--base", "B1"], False),
+    (["construct", "--from", "12", "--base", "B1", "--from", "12"], False),
+    (["construct", "--kind", "weak"], False),
+    (["construct", "--base", "B0"], False),
+    (["search", "--n", "9"], False),
+    (["verify"], False),
+    (["verify", "1221", "1221"], False),
+    (["table", "1"], False),
+    (["cnf", "--n", "9", "--r", "3", "encode"], True),
+    (["cnf", "decode", "--n", "3", "--r", "2"], True),
+    (["cnf", "--n", "9", "--kind", "weak", "decode", "--n", "3", "model", "--r", "2"], True),
+    (["cnf", "--symmetry", "decode", "--n", "3", "--r", "2"], True),
+    (["cnf", "decode", "--symmetry", "--n", "3", "--r", "2"], False),
+    (["cnf", "encode", "model"], False),
+    (["cnf", "--n", "3"], False),
+    (["cnf", "model", "decode"], False),
+    (["cnf", "decode", "a", "b"], False),
+])
+def test_reader_edges(argv, read):
+    # The canonical form is read, and argparse gets every other argv.
+    assert _assert_reader_matches_argparse(argv) == read
+
+
+@pytest.mark.parametrize("argv, names, kwargs, dest, value", [
+    (["table"], ["--verbose"], {"action": "count", "default": 0}, "verbose", 0),
+    (["table"], ["--tags"], {"nargs": "+"}, "tags", None),
+    (["table"], ["--level"], {"type": int, "default": "3"}, "level", 3),
+    (["table"], ["-q", "--quiet"], {"action": "store_true"}, "quiet", False),
+    (["cnf", "encode", "--n", "4", "--r", "2"], ["extra"], {"nargs": "?"}, "extra", None),
+])
+def test_reader_declines_a_call_it_does_not_model(monkeypatch, argv, names, kwargs, dest, value):
+    # A declaration the reader does not model (an unknown action or nargs,
+    # a string default that argparse converts, a second name, a positional
+    # after one that takes other than one token) sends every argv of its
+    # command to argparse.
+    module = importlib.import_module(f"gskit.cli_{argv[0]}")
+    declare = module.add_arguments
+
+    def add_arguments(parser):
+        declare(parser)
+        parser.add_argument(*names, **kwargs)
+
+    monkeypatch.setattr(module, "add_arguments", add_arguments)
+    assert cli._read(argv) is None
+    assert _argparse_values(argv)[dest] == value
+
+
+def test_reader_declines_sub_parsers_it_does_not_model():
+    # argparse sets no attribute for the word of sub-parsers without a
+    # `dest`, and reads other keywords (a title, aliases) the reader does not.
+    def read(subparsers, parser):
+        flags = cli._Flags()
+        flags.add_subparsers(**subparsers).add_parser("x", **parser)
+        return flags.read(["x"])
+
+    assert read({"dest": "a"}, {}) == {"a": "x"}
+    assert read({}, {}) is None
+    assert read({"dest": "a", "title": "t"}, {}) is None
+    assert read({"dest": "a"}, {"aliases": ["y"]}) is None

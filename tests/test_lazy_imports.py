@@ -36,12 +36,13 @@ print(repr([code, sorted(set(sys.modules) - before)]))
 _HEAVY = {"concurrent.futures.process", "multiprocessing"}
 
 
-def _footprint(argv, cpus=None, site=True):
+def _footprint(argv, cpus=None, site=True, stdin=""):
     """The exit code and the modules the command loads; with `site` False
     the interpreter runs with -S, so no site hook preloads any module."""
     flags = [] if site else ["-S"]
     proc = subprocess.run(
         [sys.executable, *flags, "-c", _FOOTPRINT.format(cpus=cpus), *argv],
+        input=stdin,
         capture_output=True,
         text=True,
         check=True,
@@ -102,6 +103,66 @@ def test_commands_load_neither_pathlib_typing_nor_pickle(argv):
     assert not loaded & {"pathlib", "typing", "pickle"}
     if tuple(argv) == _SPLIT_RUN:
         assert not loaded & {"struct", "select"}
+
+
+def _strong_model(r):
+    """A solver model of the strong maximal partition for r colors."""
+    from gskit.construct import maximal_partition
+    from gskit.satgen import var_index
+
+    colors = maximal_partition(r, gskit.Kind.STRONG).colors
+    literals = [var_index(v, i, r) * (1 if color == i else -1)
+                for v, color in enumerate(colors, 1) for i in range(1, r + 1)]
+    return "v " + " ".join(map(str, literals)) + " 0\n"
+
+
+_ARGPARSE = {"argparse", "gettext", "locale"}
+
+# Command lines in the canonical form, each with its stdin: the commands
+# above and the bench's forms of each command.
+_CANONICAL = [
+    *((argv, "") for argv in _COMMAND_LAYERS),
+    (("verify", "-", "--kind", "strong"), "1221\n"),
+    (("construct", "--maximal", "9", "--kind", "weak"), ""),
+    (("decompose", "-"), "1221\n"),
+    (("search", "--kind", "weak", "--r", "8", "--n", "500", "--enumerate", "--json",
+      "--workers", "2"), ""),
+    (("cnf", "encode", "--n", "124", "--r", "6", "--symmetry"), ""),
+    (("cnf", "decode", "-", "--n", "124", "--r", "6"), None),
+]
+
+
+@pytest.mark.parametrize("argv, stdin", [(list(argv), stdin) for argv, stdin in _CANONICAL])
+def test_canonical_command_lines_load_no_argparse(argv, stdin):
+    # Read by `cli._read`, these build no parser, so neither argparse nor
+    # the gettext and locale it loads come in.  A command that falls back
+    # to argparse for its usual form (after a new flag uses an action the
+    # reader does not model, say) fails here.
+    code, loaded = _footprint(argv, cpus=2, stdin=_strong_model(6) if stdin is None else stdin)
+    assert code == 0
+    assert not loaded & _ARGPARSE
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["verify", "--help"], 0, ""),
+    (["search", "--kind", "bogus", "--r", "3"], 2,
+     "gskit search: error: argument --kind: invalid choice: 'bogus' (choose from 'strong', "
+     "'weak')\n"),
+    (["search", "--r=3", "--max-order"], 0, ""),
+])
+def test_other_command_lines_go_to_argparse(argv, code, err):
+    # Help, usage errors and the forms the reader leaves to argparse load
+    # it, and keep its exit code and text.
+    got, loaded = _footprint(argv)
+    assert got == code
+    assert _ARGPARSE <= loaded
+    proc = subprocess.run([sys.executable, "-m", "gskit.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr.endswith(err)) == (code, True)
+    if argv[-1] == "--help":
+        assert proc.stdout.startswith("usage: gskit verify [-h] [--kind {strong,weak}]")
+    elif code == 0:
+        assert proc.stdout == "m_max 9 confirmed (streak 5)\n"
 
 
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["bogus"], 2)])
